@@ -50,6 +50,7 @@ __all__ = [
     "ParameterVector",
     "ExogenousMatrix",
     "ForecastResult",
+    "OriginForecasts",
     "DEFAULT_ORIGIN",
     "ar_polynomial",
     "ma_polynomial",
@@ -59,6 +60,7 @@ __all__ = [
     "log_likelihood",
     "profiled_log_likelihood",
     "residuals",
+    "forecast_origins",
     "forecast",
 ]
 
@@ -260,16 +262,20 @@ def _innovations(
     params: ParameterVector,
     w: np.ndarray,
     U: np.ndarray | None,
+    backcast: float | None = None,
 ) -> np.ndarray:
     """Innovation sequence over the full working sample.
 
-    Unavailable lagged working values are backcast with the working-series
-    sample mean; presample innovations are zero.
+    Unavailable lagged working values are backcast with ``backcast``,
+    by default the working-series sample mean; presample innovations are
+    zero.
     """
     ar = ar_polynomial(spec, params).dense()
     ma = ma_polynomial(spec, params).dense()
     k_ar = ar.shape[0] - 1
-    w_ext = np.concatenate([np.full(k_ar, w.mean()), w]) if k_ar else w
+    if backcast is None:
+        backcast = w.mean()
+    w_ext = np.concatenate([np.full(k_ar, backcast), w]) if k_ar else w
     v = lfilter(ar, [1.0], w_ext)[k_ar:]
     rhs = v - params.mu
     if U is not None:
@@ -402,40 +408,127 @@ def simulate(
     return HourlySeries(start, values, units)
 
 
-def _future_exog_diff(
+@dataclass(frozen=True)
+class OriginForecasts:
+    """Mean forecasts from many origins of one series, from one filter pass.
+
+    Row ``i`` of ``mean`` holds the 1..horizon step level forecasts from
+    origin ``i``. The innovation filter is linear in the backcast mean, so
+    origin ``i``'s innovations are
+    ``base[:ends[i]] + backcast[i] * response[:ends[i]]``.
+    """
+
+    mean: np.ndarray
+    psi: np.ndarray
+    base: np.ndarray
+    response: np.ndarray
+    backcast: np.ndarray
+    ends: np.ndarray
+
+    def innovations(self, i: int) -> np.ndarray:
+        """Innovation sequence of origin ``i``'s history on the working scale."""
+        end = self.ends[i]
+        return self.base[:end] + self.backcast[i] * self.response[:end]
+
+    def variance(self, innovation_variances: float | np.ndarray) -> np.ndarray:
+        """Forecast-error variances ``sum_{j<h} psi_j^2 * s2_{h-j}`` at every origin.
+
+        ``innovation_variances`` is one constant, or per-origin, per-step
+        values shaped like ``mean``.
+        """
+        s2 = np.broadcast_to(np.asarray(innovation_variances, dtype=np.float64), self.mean.shape)
+        return lfilter(self.psi**2, [1.0], s2, axis=1)
+
+
+def forecast_origins(
     spec: ModelSpec,
-    exog_history: ExogenousMatrix | None,
-    exog_future: ExogenousMatrix | None,
-    history: HourlySeries,
+    params: ParameterVector,
+    series: HourlySeries,
+    exog: ExogenousMatrix | None,
+    origins: np.ndarray | list[int],
     horizon: int,
-) -> np.ndarray | None:
-    """Differenced regressor rows for the forecast steps, or None when r=0."""
-    if spec.exog_count == 0:
-        return None
-    if exog_future is None:
-        raise MissingExogenousFuture(
-            f"spec has {spec.exog_count} exogenous columns; future regressor values are required"
+) -> OriginForecasts:
+    """Minimum-mean-square-error forecasts from many origins at once.
+
+    Origin ``n`` conditions on ``series.values[:n]`` exactly as a separate
+    forecast from that prefix would, and forecasts the ``horizon`` hours
+    after it. ``exog`` starts with the series and may run past its end into
+    the known future; steps whose regressors it does not cover come out
+    NaN. The series is differenced and filtered once for all origins; only
+    the horizon steps and the lags are looped over.
+    """
+    check_conforms(spec, params)
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    origins = np.asarray(origins, dtype=np.intp)
+    if origins.ndim != 1 or origins.size == 0 or origins.max() > len(series):
+        raise ValueError("origins must be a non-empty list of history lengths within the series")
+    if origins.min() < spec.min_series_length():
+        raise SeriesTooShort(
+            f"series of length {origins.min()} is below the minimum {spec.min_series_length()} "
+            f"for this spec"
         )
-    if exog_future.r != spec.exog_count:
-        raise MissingExogenousFuture(
-            f"need {spec.exog_count} future regressor columns, got {exog_future.r}"
-        )
-    if exog_future.start != history.end:
-        raise AlignmentError("future exogenous window must start at the end of the history")
-    if len(exog_future) < horizon:
-        raise MissingExogenousFuture(
-            f"future regressors cover {len(exog_future)} hours, horizon needs {horizon}"
-        )
-    k = spec.diff.order
-    if k == 0:
-        return exog_future.as_array()[:horizon]
-    assert exog_history is not None
+    if (exog is None) != (spec.exog_count == 0) or (exog is not None and exog.r != spec.exog_count):
+        raise ValueError(f"spec requires {spec.exog_count} exogenous columns")
+    if exog is not None and (exog.start != series.start or len(exog) < len(series)):
+        raise AlignmentError("regressors must start with the series and cover it")
+
     diff_poly = difference_polynomial(spec.diff)
-    cols = []
-    for hist_col, fut_col in zip(exog_history.columns, exog_future.columns):
-        joined = np.concatenate([hist_col.values[-k:], fut_col.values[:horizon]])
-        cols.append(apply_array(diff_poly, joined))
-    return np.column_stack(cols)
+    k = diff_poly.degree
+    w = apply_array(diff_poly, series.values)
+    m = w.shape[0]
+    U = None
+    if exog is not None:
+        U = np.column_stack([apply_array(diff_poly, col.values) for col in exog.columns])
+    base = _innovations(spec, params, w, None if U is None else U[:m], backcast=0.0)
+    ar = ar_polynomial(spec, params)
+    ma = ma_polynomial(spec, params)
+    k_ar = ar.degree
+    unit_backcast = lfilter(ar.dense(), [1.0], np.concatenate([np.ones(k_ar), np.zeros(m)]))[k_ar:]
+    response = lfilter([1.0], ma.dense(), unit_backcast)
+
+    ends = origins - k
+    # centring keeps the running sum's rounding at the scale of the spread
+    centre = w.mean()
+    backcast = centre + np.cumsum(w - centre)[ends - 1] / ends
+
+    det = np.full((origins.shape[0], horizon), params.mu)
+    if U is not None:
+        rows = ends[:, None] + np.arange(horizon)
+        known = rows < U.shape[0]
+        regression = U[np.minimum(rows, U.shape[0] - 1)] @ np.asarray(params.gamma)
+        det = det + np.where(known, regression, np.nan)
+
+    w_fut = np.empty_like(det)
+    ar_lags = [(lag, coeff) for lag, coeff in ar.coefficients.items() if lag > 0]
+    ma_lags = [(lag, coeff) for lag, coeff in ma.coefficients.items() if lag > 0]
+    for s in range(horizon):
+        acc = det[:, s].copy()
+        for lag, coeff in ar_lags:
+            acc -= coeff * (w_fut[:, s - lag] if lag <= s else w[ends + s - lag])
+        for lag, coeff in ma_lags:
+            if lag > s:  # future innovations are zero
+                j = ends + s - lag
+                acc += coeff * (base[j] + backcast * response[j])
+        w_fut[:, s] = acc
+
+    if k:
+        levels = np.empty((origins.shape[0], k + horizon))
+        levels[:, :k] = series.values[origins[:, None] - k + np.arange(k)]
+        diff_lags = [(lag, coeff) for lag, coeff in diff_poly.coefficients.items() if lag > 0]
+        for s in range(horizon):
+            acc = w_fut[:, s].copy()
+            for lag, coeff in diff_lags:
+                acc -= coeff * levels[:, k + s - lag]
+            levels[:, k + s] = acc
+        mean = levels[:, k:]
+    else:
+        mean = w_fut
+
+    impulse = np.zeros(horizon)
+    impulse[0] = 1.0
+    psi = lfilter(ma.dense(), multiply(ar, diff_poly).dense(), impulse)
+    return OriginForecasts(mean, psi, base, response, backcast, ends)
 
 
 def forecast(
@@ -456,59 +549,40 @@ def forecast(
     ``Var(h) = sum_{j<h} psi_j^2 * s2_{h-j}`` where ``s2_i`` is the
     innovation variance at future step ``i`` (constant ``sigma2`` unless
     ``innovation_variances`` supplies per-step values from a
-    conditional-variance model).
+    conditional-variance model). This is :func:`forecast_origins` with the
+    single origin at the end of ``history``.
     """
-    check_conforms(spec, params)
     _validate_exog(spec, history, exog_history)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    w, U = _working_series(spec, history, exog_history)
-    eps = _innovations(spec, params, w, U)
-    u_fut = _future_exog_diff(spec, exog_history, exog_future, history, horizon)
-
-    ar = ar_polynomial(spec, params)
-    ma = ma_polynomial(spec, params)
-    k_ar, k_ma = ar.degree, ma.degree
-    ar_lags = [(lag, -coeff) for lag, coeff in ar.coefficients.items() if lag > 0]
-    ma_lags = [(lag, -coeff) for lag, coeff in ma.coefficients.items() if lag > 0]
-
-    m = w.shape[0]
-    w_ext = np.concatenate([np.full(k_ar, w.mean()) if k_ar else np.empty(0), w, np.zeros(horizon)])
-    eps_ext = np.concatenate([eps, np.zeros(horizon)])
-    gamma = np.asarray(params.gamma) if spec.exog_count else None
-    for s in range(horizon):
-        t = k_ar + m + s
-        acc = params.mu
-        if u_fut is not None:
-            acc += float(u_fut[s] @ gamma)
-        for lag, phi in ar_lags:
-            acc += phi * w_ext[t - lag]
-        for lag, theta in ma_lags:
-            idx = m + s - lag
-            if idx < m:  # future innovations are zero
-                acc -= theta * eps_ext[idx]
-        w_ext[t] = acc
-    w_fut = w_ext[k_ar + m :]
-
-    diff_poly = difference_polynomial(spec.diff)
-    k = diff_poly.degree
-    if k:
-        mean_values = integrate_array(w_fut, history.values[-k:], diff_poly)
-    else:
-        mean_values = w_fut
-
-    composite_ar = multiply(ar, diff_poly).dense()
-    impulse = np.zeros(horizon)
-    impulse[0] = 1.0
-    psi = lfilter(ma.dense(), composite_ar, impulse)
-    if innovation_variances is None:
-        variance = params.sigma2 * np.cumsum(psi**2)
-    else:
+    exog = None
+    if spec.exog_count:
+        if exog_future is None:
+            raise MissingExogenousFuture(
+                f"spec has {spec.exog_count} exogenous columns; future regressor values are required"
+            )
+        if exog_future.r != spec.exog_count:
+            raise MissingExogenousFuture(
+                f"need {spec.exog_count} future regressor columns, got {exog_future.r}"
+            )
+        if exog_future.start != history.end:
+            raise AlignmentError("future exogenous window must start at the end of the history")
+        if len(exog_future) < horizon:
+            raise MissingExogenousFuture(
+                f"future regressors cover {len(exog_future)} hours, horizon needs {horizon}"
+            )
+        exog = ExogenousMatrix(
+            tuple(
+                HourlySeries(past.start, np.concatenate([past.values, future.values[:horizon]]), past.units)
+                for past, future in zip(exog_history.columns, exog_future.columns)
+            )
+        )
+    s2: float | np.ndarray = params.sigma2
+    if innovation_variances is not None:
         s2 = np.asarray(innovation_variances, dtype=np.float64)
         if s2.shape[0] < horizon:
             raise ValueError("innovation_variances must cover every forecast step")
-        variance = np.array(
-            [float(np.sum(psi[:h][::-1] ** 2 * s2[:h])) for h in range(1, horizon + 1)]
-        )
-    mean = HourlySeries(history.end, mean_values, history.units)
-    return ForecastResult(mean=mean, variance=variance, psi=psi)
+        s2 = s2[:horizon]
+    paths = forecast_origins(spec, params, history, exog, [len(history)], horizon)
+    mean = HourlySeries(history.end, paths.mean[0], history.units)
+    return ForecastResult(mean=mean, variance=paths.variance(s2)[0], psi=paths.psi)

@@ -22,15 +22,23 @@ from datetime import datetime
 
 import numpy as np
 
-from .arima import ExogenousMatrix, ModelSpec, ParameterVector, log_likelihood, residuals
+from .arima import (
+    ExogenousMatrix,
+    ModelSpec,
+    OriginForecasts,
+    ParameterVector,
+    forecast_origins,
+    log_likelihood,
+    residuals,
+)
 from .dataio import MarketDataset
 from .errors import (
     AlignmentError,
     AllTermsExcluded,
     MismatchedWindows,
 )
-from .estimation import Diagnostics, FitOptions, FittedModel, bic, fit, model_forecast
-from .garch import GarchParams, GarchSpec, attach_garch
+from .estimation import Diagnostics, FitOptions, FittedModel, bic, fit
+from .garch import GarchParams, GarchSpec, _forecast_variance, attach_garch
 from .series import (
     HOUR,
     UNITS_PRICE,
@@ -60,6 +68,7 @@ __all__ = [
     "fit_pipeline",
     "restore_pipeline_fit",
     "pipeline_forecast",
+    "price_forecasts",
     "rolling_backtest",
     "compare_models",
 ]
@@ -106,6 +115,12 @@ class PipelineConfig:
             )
         if self.lognormal_correction and self.log_offset is None:
             raise ValueError("lognormal_correction needs a log transform")
+        clipped_low = self.clip is not None and self.log_offset is not None
+        if clipped_low and self.clip.lb + self.log_offset.c <= 0.0:
+            raise ValueError(
+                f"log offset {self.log_offset.c} cannot cover prices clipped at {self.clip.lb}: "
+                "need lb + c > 0"
+            )
 
 
 def transform_target(config: PipelineConfig, dataset: MarketDataset) -> HourlySeries:
@@ -204,8 +219,8 @@ def pipeline_forecast(
         raise ValueError("horizon must be >= 1")
     if config.kind == "oracle":
         raise ValueError("the oracle pipeline needs realized prices; use rolling_backtest")
-    needs_future_da = config.kind != "sarima_rtlmp"
-    if needs_future_da:
+    dalmp = history.dalmp
+    if config.kind != "sarima_rtlmp":
         if dalmp_future is None:
             raise AlignmentError(f"{config.kind} needs future day-ahead prices")
         if dalmp_future.start != history.end or len(dalmp_future) < horizon:
@@ -214,26 +229,69 @@ def pipeline_forecast(
                 f"and cover {horizon} hours"
             )
         dalmp_future = dalmp_future.window(0, horizon)
-    if config.kind == "baseline":
-        return dalmp_future, np.zeros(horizon)
+        if config.kind == "baseline":
+            return dalmp_future, np.zeros(horizon)
+        dalmp = concat(dalmp, dalmp_future)
 
     if fitted is None:
         raise ValueError(f"{config.kind} pipelines require a fitted model")
-    modeled_history = transform_target(config, history)
-    exog_history = exog_window(config, history.dalmp)
-    exog_future = exog_window(config, dalmp_future) if needs_future_da else None
-    result = model_forecast(fitted, modeled_history, exog_history, exog_future, horizon)
+    prices, variance = price_forecasts(
+        config, fitted, history, dalmp, [len(history)], horizon, with_variance=True
+    )
+    return HourlySeries(history.end, prices[0], UNITS_PRICE), variance[0]
 
-    point = result.mean.values
-    variance = result.variance
+
+def price_forecasts(
+    config: PipelineConfig,
+    fitted: FittedModel,
+    history: MarketDataset,
+    dalmp: HourlySeries,
+    origins: np.ndarray | list[int],
+    horizon: int,
+    with_variance: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Real-time price forecasts from every origin, shaped ``(n_origins, horizon)``.
+
+    Origin ``n`` conditions on the first ``n`` hours of ``history``, which
+    holds every hour some origin sees. ``dalmp`` starts with the history
+    and also covers whatever future day-ahead prices are known; steps that
+    need a day-ahead price it lacks come out NaN. The target is
+    transformed and filtered once for all origins. Forecast-error variances
+    on the modeled scale are computed only when ``with_variance`` is set or
+    the lognormal correction consumes them, and are None otherwise.
+    """
+    origins = np.asarray(origins, dtype=np.intp)
+    modeled = transform_target(config, history)
+    paths = forecast_origins(
+        fitted.spec, fitted.params, modeled, exog_window(config, dalmp), origins, horizon
+    )
+    variance = None
+    if with_variance or config.lognormal_correction:
+        variance = paths.variance(_innovation_variances(fitted, paths, horizon))
+    point = paths.mean
     if config.log_offset is not None:
         if config.lognormal_correction:
-            point = np.exp(point + 0.5 * variance) - config.log_offset.c
-        else:
-            point = np.exp(point) - config.log_offset.c
+            point = point + 0.5 * variance
+        point = np.exp(point) - config.log_offset.c
     if config.kind in _DELTA_KINDS:
-        point = dalmp_future.values - point
-    return HourlySeries(history.end, point, UNITS_PRICE), variance
+        point = _ahead(dalmp.values, origins, horizon) - point
+    return point, variance
+
+
+def _innovation_variances(fitted: FittedModel, paths: OriginForecasts, horizon: int):
+    """Per-step innovation variances: sigma2, or each origin's GARCH forecast."""
+    if fitted.garch is None:
+        return fitted.params.sigma2
+    _, gparams = fitted.garch
+    return np.array(
+        [_forecast_variance(gparams, paths.innovations(i), horizon) for i in range(len(paths.ends))]
+    )
+
+
+def _ahead(values: np.ndarray, starts: np.ndarray, horizon: int) -> np.ndarray:
+    """``values[start + s]`` for every start and step ``s < horizon``; NaN past the end."""
+    idx = np.asarray(starts)[:, None] + np.arange(horizon)
+    return np.where(idx < values.shape[0], values[np.minimum(idx, values.shape[0] - 1)], np.nan)
 
 
 def improvement_index(
@@ -344,29 +402,35 @@ def rolling_backtest(
             f"train ends {train.end.isoformat()} but test starts {test.start.isoformat()}"
         )
 
-    forecasts = np.full((n_test, horizon), np.nan)
     if config.kind in DEGENERATE_KINDS:
-        source = test.dalmp.values if config.kind == "baseline" else test.rtlmp.values
-        for origin in range(n_test):
-            steps = min(horizon, n_test - origin)
-            forecasts[origin, :steps] = source[origin : origin + steps]
+        source = test.dalmp if config.kind == "baseline" else test.rtlmp
+        forecasts = _ahead(source.values, np.arange(n_test), horizon)
     else:
         fitted = fit_pipeline(config, train, options)
-        da_full = concat(train.dalmp, test.dalmp)
-        rt_full = concat(train.rtlmp, test.rtlmp)
+        data = MarketDataset(
+            concat(train.dalmp, test.dalmp), concat(train.rtlmp, test.rtlmp), train.node
+        )
         n_train = len(train)
-        for origin in range(n_test):
-            steps = min(horizon, n_test - origin)
-            history = MarketDataset(
-                da_full.window(0, n_train + origin),
-                rt_full.window(0, n_train + origin),
-                train.node,
+        if refit == "fit-once":
+            # the last test hour is never history, so it is not transformed
+            forecasts, _ = price_forecasts(
+                config,
+                fitted,
+                data.window(0, n_train + n_test - 1),
+                data.dalmp,
+                np.arange(n_train, n_train + n_test),
+                horizon,
             )
-            if refit == "rolling" and origin > 0:
-                fitted = fit_pipeline(config, history, options)
-            future_da = test.dalmp.window(origin, steps)
-            prices, _ = pipeline_forecast(config, fitted, history, future_da, steps)
-            forecasts[origin, :steps] = prices.values
+        else:
+            forecasts = np.full((n_test, horizon), np.nan)
+            for origin in range(n_test):
+                steps = min(horizon, n_test - origin)
+                history = data.window(0, n_train + origin)
+                if origin > 0:
+                    fitted = fit_pipeline(config, history, options)
+                future_da = test.dalmp.window(origin, steps)
+                prices, _ = pipeline_forecast(config, fitted, history, future_da, steps)
+                forecasts[origin, :steps] = prices.values
 
     improvements, maes, excluded = [], [], []
     for step in range(1, horizon + 1):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Mapping, Sequence
@@ -181,6 +182,8 @@ def load_lmp_csv(path, gap_policy: str = "reject", node: str = "NODE") -> Market
                 da, rt = float(row[1]), float(row[2])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad price field: {exc}") from exc
+            if not (math.isfinite(da) and math.isfinite(rt)):
+                raise ParseError(f"line {lineno}: price fields must be finite, got {row[1]!r}, {row[2]!r}")
             rows.append((ts, da, rt))
     if not rows:
         raise SchemaError(f"{path}: no data rows")

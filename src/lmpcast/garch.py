@@ -153,31 +153,37 @@ def garch_log_likelihood(params: GarchParams, residuals: HourlySeries) -> float:
 def forecast_variance(params: GarchParams, residuals: HourlySeries, horizon: int) -> np.ndarray:
     """Expected conditional variances for 1..horizon steps ahead.
 
-    The one-step value comes from the recursion with observed residuals;
-    beyond that each step applies the expected-value recursion
-    ``sigma2_{t+h} = alpha0 + persistence * sigma2_{t+h-1}``, which
-    converges geometrically to the unconditional variance.
+    Runs the variance recursion forward in expectation (Baillie and
+    Bollerslev 1992): a squared residual or variance already observed
+    enters as itself, and a future squared residual enters as its expected
+    value, the variance forecast for that step. For GARCH(1, 1) this is
+    ``sigma2_{t+h} = alpha0 + persistence * sigma2_{t+h-1}`` for h >= 2,
+    converging geometrically to the unconditional variance.
     """
+    return _forecast_variance(params, residuals.values, horizon)
+
+
+def _forecast_variance(params: GarchParams, values: np.ndarray, horizon: int) -> np.ndarray:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    values = residuals.values
     v0 = float(np.var(values))
     alpha = np.asarray(params.alpha)
     beta = np.asarray(params.beta)
+    p, q = alpha.shape[0], beta.shape[0]
     sig2 = _variance_recursion(params.alpha0, alpha, beta, values**2, v0)
-
-    m = values.shape[0]
+    # the last p squared residuals and q variances, backcast with v0 before the sample
+    eps2 = list(np.concatenate([np.full(p, v0), values[-p:] ** 2])[-p:])
+    past = list(np.concatenate([np.full(q, v0), sig2[-q:]])[-q:]) if q else []
     out = np.empty(horizon)
-    step1 = params.alpha0
-    for i in range(1, alpha.shape[0] + 1):
-        past_eps2 = values[m - i] ** 2 if m - i >= 0 else v0
-        step1 += alpha[i - 1] * past_eps2
-    for j in range(1, beta.shape[0] + 1):
-        past_sig2 = sig2[m - j] if m - j >= 0 else v0
-        step1 += beta[j - 1] * past_sig2
-    out[0] = step1
-    for h in range(1, horizon):
-        out[h] = params.alpha0 + params.persistence * out[h - 1]
+    for h in range(horizon):
+        step = params.alpha0
+        for i in range(1, p + 1):
+            step += alpha[i - 1] * eps2[-i]
+        for j in range(1, q + 1):
+            step += beta[j - 1] * past[-j]
+        out[h] = step
+        eps2.append(step)
+        past.append(step)
     return out
 
 

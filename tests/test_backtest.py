@@ -163,6 +163,23 @@ class TestPipelineConfig:
                 kind="arma_delta", spec=ModelSpec(p=1), lognormal_correction=True
             )
 
+    def test_log_offset_must_cover_clip_lower_bound(self):
+        # clipped prices reach lb, and ln(lb + c) needs lb + c > 0
+        for lb in (-30.0, -100.0):
+            with pytest.raises(ValueError, match="lb \\+ c > 0"):
+                PipelineConfig(
+                    kind="arma_delta",
+                    spec=ModelSpec(p=1),
+                    clip=ClipBounds(ub=100.0, lb=lb),
+                    log_offset=LogOffset(c=30.0),
+                )
+        PipelineConfig(
+            kind="arma_delta",
+            spec=ModelSpec(p=1),
+            clip=ClipBounds(ub=100.0, lb=-29.0),
+            log_offset=LogOffset(c=30.0),
+        )
+
 
 class TestTransforms:
     def test_delta_kind_models_differential(self):
@@ -181,7 +198,7 @@ class TestTransforms:
         config = PipelineConfig(
             kind="arma_delta",
             spec=ModelSpec(p=1),
-            clip=ClipBounds(ub=100.0, lb=-100.0),
+            clip=ClipBounds(ub=100.0, lb=-20.0),
             log_offset=LogOffset(c=30.0),
         )
         target = transform_target(config, data)

@@ -6,6 +6,7 @@ stateless subcommands hand artifacts to each other.
 """
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -84,6 +85,19 @@ class TestRuntimeErrors:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_price_exits_one_with_line(self, ws, tmp_path, capsys):
+        lines = Path(ws.data).read_text(encoding="utf-8").splitlines()
+        stamp = lines[5].split(",")[0]
+        lines[5] = f"{stamp},25.0,nan"
+        data = tmp_path / "nan.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(
+            ["backtest", "--config", ws.config, "--data", str(data),
+             "--out", str(tmp_path / "report.json")]
+        )
+        assert rc == 1
+        assert "line 6" in capsys.readouterr().err
 
     def test_fitting_baseline_pipeline_exits_one(self, ws, tmp_path, capsys):
         config = write_config(tmp_path, "base.json", pipeline="baseline")

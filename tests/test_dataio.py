@@ -108,6 +108,12 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 2"):
             load_lmp_csv(path)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_prices_name_the_line(self, tmp_path, field):
+        body = f"2015-01-05T00:00Z,25.10,24.80\n2015-01-05T01:00Z,{field},26.00\n"
+        with pytest.raises(ParseError, match="line 3: .*finite"):
+            load_lmp_csv(write(tmp_path / "inf.csv", body))
+
     def test_schema_violations(self, tmp_path):
         path = tmp_path / "head.csv"
         path.write_text("time,da,rt\n2015-01-05T00:00Z,25.10,24.80\n", encoding="utf-8")

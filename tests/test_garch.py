@@ -185,6 +185,36 @@ class TestForecastVariance:
         np.testing.assert_allclose(mc, want, rtol=0.05)
 
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            GarchParams(alpha0=0.2, alpha=(0.1, 0.5)),
+            GarchParams(alpha0=0.1, alpha=(0.1, 0.3), beta=(0.2, 0.1)),
+        ],
+    )
+    def test_monte_carlo_higher_orders(self, params):
+        # lagged shocks and variances known at the origin must enter every
+        # step they reach, not only the first
+        hist = np.concatenate([simulate_garch(0.1, 0.2, 0.7, 300, seed=62), [5.0]])
+        want = forecast_variance(params, series(hist), 5)
+        sig2_hist = brute_variances(params, hist)
+        p, q = len(params.alpha), len(params.beta)
+        rng = np.random.default_rng(63)
+        z = rng.normal(size=(200000, 5))
+        shocks2 = [np.full(z.shape[0], e**2) for e in hist[-p:]]
+        variances = [np.full(z.shape[0], v) for v in sig2_hist[len(hist) - q :]]
+        mc = np.empty(5)
+        for h in range(5):
+            sig2 = params.alpha0 + sum(a * shocks2[-i] for i, a in enumerate(params.alpha, start=1))
+            sig2 = sig2 + sum(b * variances[-j] for j, b in enumerate(params.beta, start=1))
+            shocks2.append(sig2 * z[:, h] ** 2)
+            variances.append(sig2)
+            mc[h] = np.mean(shocks2[-1])
+        np.testing.assert_allclose(want, mc, rtol=0.03)
+        # the first-order shortcut misses the known lag-2 shock at step 2
+        assert abs(want[1] - (params.alpha0 + params.persistence * want[0])) > 0.1 * want[1]
+
+
 class TestAttachGarch:
     def arma_fit(self, values, seed=0):
         opts = FitOptions(restarts=1, seed=seed)
