@@ -38,7 +38,7 @@ from .errors import (
     MismatchedWindows,
 )
 from .estimation import Diagnostics, FitOptions, FittedModel, bic, fit
-from .garch import GarchParams, GarchSpec, _forecast_variance, attach_garch
+from .garch import GarchParams, GarchSpec, attach_garch, forecast_variance_origins
 from .series import (
     HOUR,
     UNITS_PRICE,
@@ -68,7 +68,8 @@ __all__ = [
     "fit_pipeline",
     "restore_pipeline_fit",
     "pipeline_forecast",
-    "price_forecasts",
+    "ModelForecasts",
+    "model_forecasts",
     "rolling_backtest",
     "compare_models",
 ]
@@ -199,12 +200,81 @@ def restore_pipeline_fit(
     )
 
 
+@dataclass(frozen=True)
+class ModelForecasts:
+    """A pipeline's forecasts on the modeled scale from many origins of one history.
+
+    Row ``i`` holds the 1..horizon step means and forecast-error variances
+    from the origin that has seen the first ``origins[i]`` hours of the
+    history starting at ``start``.
+    """
+
+    start: datetime
+    origins: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+
+    def row(self, history: MarketDataset, horizon: int) -> int:
+        """Row of the origin at the end of ``history``."""
+        i = int(np.searchsorted(self.origins, len(history)))
+        if history.start != self.start or i == self.origins.shape[0] or self.origins[i] != len(history):
+            raise AlignmentError(f"no forecast from an origin at {history.end.isoformat()}")
+        if horizon > self.mean.shape[1]:
+            raise ValueError(f"horizon {horizon} exceeds the {self.mean.shape[1]} forecast steps")
+        return i
+
+
+def model_forecasts(
+    config: PipelineConfig,
+    fitted: FittedModel,
+    history: MarketDataset,
+    dalmp: HourlySeries,
+    origins: np.ndarray | list[int],
+    horizon: int,
+) -> ModelForecasts:
+    """Modeled-scale forecasts from every origin, from one filter pass.
+
+    Origin ``n`` conditions on the first ``n`` hours of ``history``, which
+    holds every hour some origin sees; origins ascend. ``dalmp`` starts
+    with the history and also covers whatever future day-ahead prices are
+    known; steps whose regressors it lacks come out NaN. The target is
+    transformed and filtered once for all origins, and a GARCH layer's
+    variance forecasts come from one pass over the residuals.
+    """
+    origins = np.asarray(origins, dtype=np.intp)
+    if np.any(np.diff(origins) <= 0):
+        raise ValueError("origins must ascend")
+    modeled = transform_target(config, history)
+    paths = forecast_origins(
+        fitted.spec, fitted.params, modeled, exog_window(config, dalmp), origins, horizon
+    )
+    variance = paths.variance(_innovation_variances(fitted, paths, horizon))
+    return ModelForecasts(history.start, origins, paths.mean, variance)
+
+
+def _innovation_variances(fitted: FittedModel, paths: OriginForecasts, horizon: int):
+    """Per-step innovation variances: sigma2, or each origin's GARCH forecast."""
+    if fitted.garch is None:
+        return fitted.params.sigma2
+    _, gparams = fitted.garch
+    # innovations relative to the longest history's, so the shifts stay small
+    return forecast_variance_origins(
+        gparams,
+        paths.innovations(-1),
+        paths.response[: paths.ends[-1]],
+        paths.backcast - paths.backcast[-1],
+        paths.ends,
+        horizon,
+    )
+
+
 def pipeline_forecast(
     config: PipelineConfig,
     fitted: FittedModel | None,
     history: MarketDataset,
     dalmp_future: HourlySeries | None,
     horizon: int,
+    shared: ModelForecasts | None = None,
 ) -> tuple[HourlySeries, np.ndarray]:
     """Real-time price forecasts for the ``horizon`` hours after the history.
 
@@ -214,6 +284,11 @@ def pipeline_forecast(
     price forecasts and the forecast-error variances on the modeled
     (possibly log) scale; the ``oracle`` kind has no forecast function and
     is only meaningful inside :func:`rolling_backtest`.
+
+    ``shared`` holds :func:`model_forecasts` of a history that this one
+    begins, from origins that include its end; the forecast then reads
+    that origin's row instead of filtering the history again, which is how
+    a fit-once backtest forecasts every origin from one pass.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -231,61 +306,23 @@ def pipeline_forecast(
         dalmp_future = dalmp_future.window(0, horizon)
         if config.kind == "baseline":
             return dalmp_future, np.zeros(horizon)
-        dalmp = concat(dalmp, dalmp_future)
+        if shared is None:
+            dalmp = concat(dalmp, dalmp_future)
 
     if fitted is None:
         raise ValueError(f"{config.kind} pipelines require a fitted model")
-    prices, variance = price_forecasts(
-        config, fitted, history, dalmp, [len(history)], horizon, with_variance=True
-    )
-    return HourlySeries(history.end, prices[0], UNITS_PRICE), variance[0]
-
-
-def price_forecasts(
-    config: PipelineConfig,
-    fitted: FittedModel,
-    history: MarketDataset,
-    dalmp: HourlySeries,
-    origins: np.ndarray | list[int],
-    horizon: int,
-    with_variance: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Real-time price forecasts from every origin, shaped ``(n_origins, horizon)``.
-
-    Origin ``n`` conditions on the first ``n`` hours of ``history``, which
-    holds every hour some origin sees. ``dalmp`` starts with the history
-    and also covers whatever future day-ahead prices are known; steps that
-    need a day-ahead price it lacks come out NaN. The target is
-    transformed and filtered once for all origins. Forecast-error variances
-    on the modeled scale are computed only when ``with_variance`` is set or
-    the lognormal correction consumes them, and are None otherwise.
-    """
-    origins = np.asarray(origins, dtype=np.intp)
-    modeled = transform_target(config, history)
-    paths = forecast_origins(
-        fitted.spec, fitted.params, modeled, exog_window(config, dalmp), origins, horizon
-    )
-    variance = None
-    if with_variance or config.lognormal_correction:
-        variance = paths.variance(_innovation_variances(fitted, paths, horizon))
-    point = paths.mean
+    if shared is None:
+        shared = model_forecasts(config, fitted, history, dalmp, [len(history)], horizon)
+    row = shared.row(history, horizon)
+    variance = shared.variance[row, :horizon]
+    point = shared.mean[row, :horizon]
     if config.log_offset is not None:
         if config.lognormal_correction:
             point = point + 0.5 * variance
         point = np.exp(point) - config.log_offset.c
     if config.kind in _DELTA_KINDS:
-        point = _ahead(dalmp.values, origins, horizon) - point
-    return point, variance
-
-
-def _innovation_variances(fitted: FittedModel, paths: OriginForecasts, horizon: int):
-    """Per-step innovation variances: sigma2, or each origin's GARCH forecast."""
-    if fitted.garch is None:
-        return fitted.params.sigma2
-    _, gparams = fitted.garch
-    return np.array(
-        [_forecast_variance(gparams, paths.innovations(i), horizon) for i in range(len(paths.ends))]
-    )
+        point = dalmp_future.values - point
+    return HourlySeries(history.end, point, UNITS_PRICE), variance
 
 
 def _ahead(values: np.ndarray, starts: np.ndarray, horizon: int) -> np.ndarray:
@@ -411,9 +448,11 @@ def rolling_backtest(
             concat(train.dalmp, test.dalmp), concat(train.rtlmp, test.rtlmp), train.node
         )
         n_train = len(train)
+        shared = None
         if refit == "fit-once":
-            # the last test hour is never history, so it is not transformed
-            forecasts, _ = price_forecasts(
+            # one filter pass serves every origin; the last test hour is
+            # never history, so it is not transformed
+            shared = model_forecasts(
                 config,
                 fitted,
                 data.window(0, n_train + n_test - 1),
@@ -421,16 +460,15 @@ def rolling_backtest(
                 np.arange(n_train, n_train + n_test),
                 horizon,
             )
-        else:
-            forecasts = np.full((n_test, horizon), np.nan)
-            for origin in range(n_test):
-                steps = min(horizon, n_test - origin)
-                history = data.window(0, n_train + origin)
-                if origin > 0:
-                    fitted = fit_pipeline(config, history, options)
-                future_da = test.dalmp.window(origin, steps)
-                prices, _ = pipeline_forecast(config, fitted, history, future_da, steps)
-                forecasts[origin, :steps] = prices.values
+        forecasts = np.full((n_test, horizon), np.nan)
+        for origin in range(n_test):
+            steps = min(horizon, n_test - origin)
+            history = data.window(0, n_train + origin)
+            if refit == "rolling" and origin > 0:
+                fitted = fit_pipeline(config, history, options)
+            future_da = test.dalmp.window(origin, steps)
+            prices, _ = pipeline_forecast(config, fitted, history, future_da, steps, shared)
+            forecasts[origin, :steps] = prices.values
 
     improvements, maes, excluded = [], [], []
     for step in range(1, horizon + 1):

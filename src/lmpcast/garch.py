@@ -31,6 +31,7 @@ __all__ = [
     "conditional_variances",
     "garch_log_likelihood",
     "forecast_variance",
+    "forecast_variance_origins",
     "attach_garch",
 ]
 
@@ -172,16 +173,89 @@ def _forecast_variance(params: GarchParams, values: np.ndarray, horizon: int) ->
     p, q = alpha.shape[0], beta.shape[0]
     sig2 = _variance_recursion(params.alpha0, alpha, beta, values**2, v0)
     # the last p squared residuals and q variances, backcast with v0 before the sample
-    eps2 = list(np.concatenate([np.full(p, v0), values[-p:] ** 2])[-p:])
-    past = list(np.concatenate([np.full(q, v0), sig2[-q:]])[-q:]) if q else []
-    out = np.empty(horizon)
+    eps2 = np.concatenate([np.full(p, v0), values[-p:] ** 2])[-p:]
+    past = np.concatenate([np.full(q, v0), sig2[-q:]])[-q:] if q else np.empty(0)
+    return _expected_path(params.alpha0, alpha, beta, eps2[None], past[None], horizon)[0]
+
+
+def forecast_variance_origins(
+    params: GarchParams,
+    innovations: np.ndarray,
+    response: np.ndarray,
+    shifts: np.ndarray,
+    ends: np.ndarray,
+    horizon: int,
+) -> np.ndarray:
+    """Variance forecasts from many origins of one residual series, shaped ``(origins, horizon)``.
+
+    Origin ``i``'s residuals are ``innovations[:ends[i]] + shifts[i] * response[:ends[i]]``,
+    as an ARMA filter's innovations are under per-origin backcast means, and
+    row ``i`` is :func:`forecast_variance` of them. The variance recursion is
+    linear in the squared residuals and in its presample value, so one
+    recursion over each of ``innovations**2``, ``innovations * response``,
+    ``response**2`` and the presample serves every origin.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    alpha = np.asarray(params.alpha)
+    beta = np.asarray(params.beta)
+    p, q = alpha.shape[0], beta.shape[0]
+    e, r = innovations, response
+    s = np.asarray(shifts, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.intp)
+
+    def prefix_sum(x: np.ndarray) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(x)])[ends]
+
+    mean = (prefix_sum(e) + s * prefix_sum(r)) / ends
+    v0 = (prefix_sum(e * e) + 2.0 * s * prefix_sum(e * r) + s * s * prefix_sum(r * r)) / ends
+    v0 = v0 - mean**2
+
+    parts = (
+        _variance_recursion(params.alpha0, alpha, beta, e * e, 0.0),
+        _variance_recursion(0.0, alpha, beta, e * r, 0.0),
+        _variance_recursion(0.0, alpha, beta, r * r, 0.0),
+        _variance_recursion(0.0, alpha, beta, np.zeros_like(e), 1.0),
+    )
+
+    shift, v0_col = s[:, None], v0[:, None]
+    # each origin's last p squared residuals and q variances, oldest first,
+    # backcast with its v0 before the sample
+    idx = ends[:, None] - np.arange(p, 0, -1)
+    x = e[np.maximum(idx, 0)] + shift * r[np.maximum(idx, 0)]
+    eps2 = np.where(idx >= 0, x * x, v0_col)
+    idx = ends[:, None] - np.arange(q, 0, -1)
+    at = np.maximum(idx, 0)
+    sig2 = parts[0][at] + 2.0 * shift * parts[1][at] + shift * shift * parts[2][at] + v0_col * parts[3][at]
+    past = np.where(idx >= 0, sig2, v0_col)
+    return _expected_path(params.alpha0, alpha, beta, eps2, past, horizon)
+
+
+def _expected_path(
+    alpha0: float,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    eps2: np.ndarray,
+    past: np.ndarray,
+    horizon: int,
+) -> np.ndarray:
+    """Run the recursion forward in expectation, one row per origin.
+
+    ``eps2`` and ``past`` hold each origin's last p squared residuals and q
+    variances, oldest first; a future squared residual enters as its
+    expected value, the variance forecast for that step.
+    """
+    p, q = alpha.shape[0], beta.shape[0]
+    eps2 = [eps2[:, i] for i in range(p)]
+    past = [past[:, j] for j in range(q)]
+    out = np.empty((eps2[0].shape[0], horizon))
     for h in range(horizon):
-        step = params.alpha0
+        step = np.full(out.shape[0], alpha0)
         for i in range(1, p + 1):
-            step += alpha[i - 1] * eps2[-i]
+            step = step + alpha[i - 1] * eps2[-i]
         for j in range(1, q + 1):
-            step += beta[j - 1] * past[-j]
-        out[h] = step
+            step = step + beta[j - 1] * past[-j]
+        out[:, h] = step
         eps2.append(step)
         past.append(step)
     return out

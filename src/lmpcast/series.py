@@ -103,12 +103,20 @@ class HourlySeries:
         return idx
 
     def window(self, index: int, length: int) -> "HourlySeries":
-        """Sub-series of ``length`` hours beginning at ``index``."""
+        """Sub-series of ``length`` hours beginning at ``index``.
+
+        The window shares this series' read-only values, which are already
+        checked, so taking one costs the same at any length.
+        """
         if index < 0 or length < 1 or index + length > len(self):
             raise AlignmentError(
                 f"window [{index}, {index + length}) outside series of length {len(self)}"
             )
-        return HourlySeries(self.timestamp_at(index), self.values[index : index + length], self.units)
+        sub = object.__new__(HourlySeries)
+        object.__setattr__(sub, "start", self.timestamp_at(index))
+        object.__setattr__(sub, "values", self.values[index : index + length])
+        object.__setattr__(sub, "units", self.units)
+        return sub
 
     def with_values(self, values: np.ndarray, units: str | None = None) -> "HourlySeries":
         """Same calendar anchor, new values (and optionally new units)."""

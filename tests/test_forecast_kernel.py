@@ -18,13 +18,14 @@ from lmpcast.arima import ModelSpec, ParameterVector, ar_polynomial, ma_polynomi
 from lmpcast.backtest import (
     PipelineConfig,
     exog_window,
+    model_forecasts,
     pipeline_forecast,
-    price_forecasts,
     restore_pipeline_fit,
     rolling_backtest,
     transform_target,
 )
 from lmpcast.dataio import MarketDataset, SynthConfig, synth_market
+from lmpcast.errors import AlignmentError
 from lmpcast.estimation import FitOptions
 from lmpcast.garch import GarchParams, GarchSpec, forecast_variance
 from lmpcast.lagpoly import DifferenceSpec, apply_array, difference_polynomial, integrate_array, multiply
@@ -118,11 +119,18 @@ def per_origin_backtest(config, fitted, data, n_train, horizon):
 
 
 def kernel_backtest(config, fitted, data, n_train, horizon):
+    """The same loop reading every origin from one shared filter pass."""
     origins = np.arange(n_train, len(data))
-    prices, _ = price_forecasts(
+    shared = model_forecasts(
         config, fitted, data.window(0, len(data) - 1), data.dalmp, origins, horizon
     )
-    return prices
+    out = np.full((len(origins), horizon), np.nan)
+    for origin, n in enumerate(origins):
+        steps = horizon if config.kind == "sarima_rtlmp" else min(horizon, len(data) - n)
+        future = data.dalmp.window(n, steps) if steps <= len(data) - n else None
+        prices, _ = pipeline_forecast(config, fitted, data.window(0, n), future, steps, shared)
+        out[origin, :steps] = prices.values
+    return out
 
 
 CLIP = ClipBounds(ub=22.0, lb=-4.0)
@@ -219,6 +227,25 @@ def test_near_unit_seasonal_ma_on_short_history():
     assert np.ptp(paths.backcast) > 1e6 * TOL
 
 
+def test_garch_variances_follow_each_origins_backcast():
+    # as above, the origins' residuals differ by their backcast terms, and
+    # each origin's GARCH variance forecast must see its own residuals
+    config = PipelineConfig(
+        "sarima_rtlmp", ModelSpec(p=1, Q=1, diff=SEASONAL), log_offset=LogOffset(c=30.0),
+        garch=GarchSpec(2, 1),
+    )
+    params = ParameterVector(phi=(0.3,), Theta=(0.998,), mu=0.002, sigma2=0.02)
+    garch = (GarchSpec(2, 1), GarchParams(alpha0=1e-3, alpha=(0.1, 0.2), beta=(0.5,)))
+    data = market(150, seed=4)
+    fitted = restore_pipeline_fit(config, data.window(0, 60), params, garch)
+    origins = np.arange(60, 150)
+    shared = model_forecasts(config, fitted, data.window(0, 149), data.dalmp, origins, 5)
+    want = np.array([
+        per_origin_forecast(config, fitted, data.window(0, n), None, 5)[1] for n in origins
+    ])
+    np.testing.assert_allclose(shared.variance, want, rtol=1e-9, atol=0)
+
+
 @pytest.mark.parametrize("name", ["armax_garch", "sarima"])
 def test_pipeline_forecast_matches_per_origin_path(name):
     config, params, garch = CASES[name]
@@ -230,6 +257,24 @@ def test_pipeline_forecast_matches_per_origin_path(name):
     want_prices, want_variance = per_origin_forecast(config, fitted, history, future, 8)
     np.testing.assert_allclose(prices.values, want_prices, rtol=0, atol=TOL)
     np.testing.assert_allclose(variance, want_variance, rtol=1e-12, atol=0)
+
+
+def test_shared_pass_serves_only_its_own_origins():
+    config, params, _ = CASES["arma"]
+    data = market(540, seed=5)
+    fitted = restore_pipeline_fit(config, data.window(0, 500), params)
+    shared = model_forecasts(config, fitted, data.window(0, 520), data.dalmp, [500, 510], 4)
+    prices, _ = pipeline_forecast(
+        config, fitted, data.window(0, 510), data.dalmp.window(510, 4), 4, shared
+    )
+    alone, _ = pipeline_forecast(config, fitted, data.window(0, 510), data.dalmp.window(510, 4), 4)
+    np.testing.assert_allclose(prices.values, alone.values, rtol=0, atol=TOL)
+    with pytest.raises(AlignmentError):  # 505 is no origin of the pass
+        pipeline_forecast(config, fitted, data.window(0, 505), data.dalmp.window(505, 4), 4, shared)
+    with pytest.raises(AlignmentError):  # the pass's history starts elsewhere
+        pipeline_forecast(config, fitted, data.window(10, 500), data.dalmp.window(510, 4), 4, shared)
+    with pytest.raises(ValueError):  # more steps than the pass forecast
+        pipeline_forecast(config, fitted, data.window(0, 510), data.dalmp.window(510, 5), 5, shared)
 
 
 def test_fit_once_filters_innovations_a_fixed_number_of_times(monkeypatch):
@@ -273,11 +318,11 @@ def test_memory_stays_linear_in_history():
     fitted = restore_pipeline_fit(config, data.window(0, 18000), params)
     tracemalloc.start()
     try:
-        prices, _ = price_forecasts(
+        shared = model_forecasts(
             config, fitted, data.window(0, 20000), data.dalmp, np.arange(18000, 20000), 12
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert prices.shape == (2000, 12)
+    assert shared.mean.shape == shared.variance.shape == (2000, 12)
     assert peak < 32e6

@@ -14,6 +14,7 @@ from lmpcast.garch import (
     attach_garch,
     conditional_variances,
     forecast_variance,
+    forecast_variance_origins,
     garch_log_likelihood,
 )
 from lmpcast.series import UNITS_NONE, HourlySeries
@@ -213,6 +214,28 @@ class TestForecastVariance:
         np.testing.assert_allclose(want, mc, rtol=0.03)
         # the first-order shortcut misses the known lag-2 shock at step 2
         assert abs(want[1] - (params.alpha0 + params.persistence * want[0])) > 0.1 * want[1]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GarchParams(alpha0=0.1, alpha=(0.2,), beta=(0.7,)),
+        GarchParams(alpha0=0.2, alpha=(0.1, 0.5)),
+        GarchParams(alpha0=0.1, alpha=(0.1, 0.3), beta=(0.2, 0.1)),
+    ],
+)
+def test_many_origins_match_one_forecast_per_origin(params):
+    # origin i's residuals are e[:end] + shift * r[:end]; ends 1 and 2 are
+    # shorter than the lags, so the presample backcast enters too
+    rng = np.random.default_rng(64)
+    e = simulate_garch(0.1, 0.2, 0.7, 400, seed=65)
+    r = 0.9 ** np.arange(400) * 3.0
+    shifts = rng.normal(size=12)
+    ends = np.array([1, 2, 3, 10, 50, 120, 200, 201, 333, 398, 399, 400])
+    got = forecast_variance_origins(params, e, r, shifts, ends, 6)
+    for row, shift, end in zip(got, shifts, ends):
+        want = forecast_variance(params, series(e[:end] + shift * r[:end]), 6)
+        np.testing.assert_allclose(row, want, rtol=1e-12, atol=0)
 
 
 class TestAttachGarch:

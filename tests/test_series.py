@@ -75,6 +75,13 @@ class TestHourlySeries:
         with pytest.raises(AlignmentError):
             s.window(2, 3)
 
+    def test_window_shares_read_only_values(self):
+        s = series([1.0, 2.0, 3.0, 4.0])
+        w = s.window(1, 2)
+        assert np.shares_memory(w.values, s.values)
+        with pytest.raises(ValueError):
+            w.values[0] = 5.0
+
     def test_index_of_outside(self):
         s = series([1.0, 2.0])
         with pytest.raises(AlignmentError):
