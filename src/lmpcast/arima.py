@@ -15,8 +15,12 @@ the fully seasonal case.
 The likelihood is the conditional Gaussian one: presample working-series
 values are backcast with the working-series sample mean, presample
 innovations are set to zero, and the sum runs over the full differenced
-sample. All recursions are linear filters and run through
-``scipy.signal.lfilter``.
+sample. All recursions are linear filters. The finite-impulse-response
+steps (the AR side of the innovation filter and of its unit-backcast
+response, the forecast-variance sums) run as ``np.convolve``, which is what
+``scipy.signal.lfilter`` computes for a unit denominator; the recursive
+ones run through ``lfilter``. The likelihood builds its lag arrays straight
+from the factor tuples, so one evaluation builds no :class:`LagPolynomial`.
 """
 
 from __future__ import annotations
@@ -131,7 +135,7 @@ class ParameterVector:
 
     def __post_init__(self) -> None:
         for name in ("phi", "Phi", "theta", "Theta", "gamma"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "sigma2", float(self.sigma2))
         if not self.sigma2 > 0.0:
@@ -152,6 +156,25 @@ def ma_polynomial(spec: ModelSpec, params: ParameterVector) -> LagPolynomial:
         LagPolynomial.from_factor_coefficients(params.theta),
         LagPolynomial.from_factor_coefficients(params.Theta, spacing=spec.diff.S),
     )
+
+
+def _lag_array(coeffs: tuple[float, ...], seasonal: tuple[float, ...], S: int) -> np.ndarray:
+    """Dense ascending-lag array of ``(1 - sum a_i B^i)(1 - sum A_j B^{jS})``.
+
+    The same coefficients as ``ar_polynomial(...).dense()`` (and the MA
+    counterpart), trailing zero coefficients dropped as
+    :class:`LagPolynomial` drops them, so the filter order matches.
+    """
+    poly = np.array([1.0, *[-a for a in coeffs]])
+    if seasonal:
+        factor = np.zeros(len(seasonal) * S + 1)
+        factor[0] = 1.0
+        factor[S::S] = [-a for a in seasonal]
+        poly = np.convolve(poly, factor)
+    k = poly.shape[0] - 1
+    while k and poly[k] == 0.0:
+        k -= 1
+    return poly[: k + 1]
 
 
 def check_conforms(spec: ModelSpec, params: ParameterVector) -> None:
@@ -270,17 +293,21 @@ def _innovations(
     by default the working-series sample mean; presample innovations are
     zero.
     """
-    ar = ar_polynomial(spec, params).dense()
-    ma = ma_polynomial(spec, params).dense()
+    ar = _lag_array(params.phi, params.Phi, spec.diff.S)
+    ma = _lag_array(params.theta, params.Theta, spec.diff.S)
     k_ar = ar.shape[0] - 1
-    if backcast is None:
-        backcast = w.mean()
-    w_ext = np.concatenate([np.full(k_ar, backcast), w]) if k_ar else w
-    v = lfilter(ar, [1.0], w_ext)[k_ar:]
-    rhs = v - params.mu
+    m = w.shape[0]
+    if k_ar:
+        w_ext = np.empty(k_ar + m)
+        # the sum over the count is what w.mean() computes, without its overhead
+        w_ext[:k_ar] = w.sum() / m if backcast is None else backcast
+        w_ext[k_ar:] = w
+        rhs = np.convolve(ar, w_ext)[k_ar : k_ar + m] - params.mu
+    else:
+        rhs = w - params.mu
     if U is not None:
         rhs = rhs - U @ np.asarray(params.gamma)
-    return lfilter([1.0], ma, rhs)
+    return lfilter([1.0], ma, rhs) if ma.shape[0] > 1 else rhs
 
 
 def residuals(
@@ -437,7 +464,8 @@ class OriginForecasts:
         values shaped like ``mean``.
         """
         s2 = np.broadcast_to(np.asarray(innovation_variances, dtype=np.float64), self.mean.shape)
-        return lfilter(self.psi**2, [1.0], s2, axis=1)
+        weights = self.psi**2
+        return np.array([np.convolve(weights, row)[: row.shape[0]] for row in s2])
 
 
 def forecast_origins(
@@ -484,7 +512,7 @@ def forecast_origins(
     ar = ar_polynomial(spec, params)
     ma = ma_polynomial(spec, params)
     k_ar = ar.degree
-    unit_backcast = lfilter(ar.dense(), [1.0], np.concatenate([np.ones(k_ar), np.zeros(m)]))[k_ar:]
+    unit_backcast = np.convolve(ar.dense(), np.concatenate([np.ones(k_ar), np.zeros(m)]))[k_ar : k_ar + m]
     response = lfilter([1.0], ma.dense(), unit_backcast)
 
     ends = origins - k

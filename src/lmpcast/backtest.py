@@ -67,6 +67,7 @@ __all__ = [
     "exog_window",
     "fit_pipeline",
     "restore_pipeline_fit",
+    "exog_count",
     "pipeline_forecast",
     "ModelForecasts",
     "model_forecasts",
@@ -79,6 +80,11 @@ MODEL_KINDS = ("arma_delta", "armax_delta", "sarima_rtlmp", "sarimax_rtlmp")
 DEGENERATE_KINDS = ("baseline", "oracle")
 
 _DELTA_KINDS = ("arma_delta", "armax_delta")
+
+
+def exog_count(kind: str) -> int:
+    """Regressor columns a pipeline kind's model takes (see :func:`exog_window`)."""
+    return 1 if kind in ("armax_delta", "sarimax_rtlmp") else 0
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,7 @@ class PipelineConfig:
             return
         if self.spec is None:
             raise ValueError(f"{self.kind} pipelines require a model spec")
-        needs_exog = 1 if self.kind in ("armax_delta", "sarimax_rtlmp") else 0
+        needs_exog = exog_count(self.kind)
         if self.spec.exog_count != needs_exog:
             raise ValueError(
                 f"{self.kind} requires exog_count={needs_exog}, spec has {self.spec.exog_count}"
@@ -187,7 +193,7 @@ def restore_pipeline_fit(
     loglik = log_likelihood(config.spec, params, modeled, exog)
     n_eff = len(resid)
     if diagnostics is None:
-        diagnostics = Diagnostics(converged=True, iterations=0, boundary_flags=())
+        diagnostics = Diagnostics(converged=True, iterations=0, boundary_flags=(), evaluations=0)
     return FittedModel(
         spec=config.spec,
         params=params,

@@ -13,7 +13,7 @@ import json
 from typing import Any, Mapping
 
 from .arima import ModelSpec, ParameterVector
-from .backtest import DEGENERATE_KINDS, MODEL_KINDS, PipelineConfig
+from .backtest import DEGENERATE_KINDS, MODEL_KINDS, PipelineConfig, exog_count
 from .dataio import MarketDataset, SynthConfig
 from .errors import SchemaError
 from .estimation import Diagnostics, FitOptions, FittedModel
@@ -187,15 +187,11 @@ def _build_order(order: Mapping[str, Any], constant: bool, exog_count: int) -> M
     )
 
 
-def _exog_count_for(kind: str) -> int:
-    return 1 if kind in ("armax_delta", "sarimax_rtlmp") else 0
-
-
 def build_model_spec(config: Mapping[str, Any]) -> ModelSpec:
     kind = config["pipeline"]
     if kind is None:
         raise SchemaError("config key 'pipeline' is required")
-    return _build_order(config["order"], config["constant"], _exog_count_for(kind))
+    return _build_order(config["order"], config["constant"], exog_count(kind))
 
 
 def build_pipeline(config: Mapping[str, Any]) -> PipelineConfig:
@@ -304,6 +300,7 @@ def fitted_to_artifact(config: Mapping[str, Any], fitted: FittedModel) -> str:
         "diagnostics": {
             "converged": fitted.diagnostics.converged,
             "iterations": fitted.diagnostics.iterations,
+            "evaluations": fitted.diagnostics.evaluations,
             "boundary_flags": list(fitted.diagnostics.boundary_flags),
         },
     }
@@ -351,5 +348,7 @@ def artifact_to_parts(
         converged=bool(diag["converged"]),
         iterations=int(diag["iterations"]),
         boundary_flags=tuple(diag["boundary_flags"]),
+        # artifacts written before the count existed read back as 0
+        evaluations=int(diag.get("evaluations", 0)),
     )
     return config, params, garch, diagnostics

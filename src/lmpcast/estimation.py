@@ -82,9 +82,13 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """How the search ended: convergence, simplex iterations, objective
+    evaluations of the winning start, and parameters near a boundary."""
+
     converged: bool
     iterations: int
     boundary_flags: tuple[str, ...] = ()
+    evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -112,13 +116,14 @@ def pacf_to_coeffs(r: np.ndarray) -> np.ndarray:
     all entries strictly inside the unit interval yields a polynomial
     ``1 - c_1 B - ... - c_k B^k`` with roots outside the unit circle.
     """
-    a = np.empty(0)
-    for k, rk in enumerate(np.asarray(r, dtype=np.float64), start=1):
-        nxt = np.empty(k)
-        nxt[k - 1] = rk
-        if k > 1:
-            nxt[: k - 1] = a - rk * a[::-1]
-        a = nxt
+    return np.array(_levinson(np.asarray(r, dtype=np.float64).tolist()), dtype=np.float64)
+
+
+def _levinson(r: list[float]) -> list[float]:
+    """:func:`pacf_to_coeffs` on Python floats, the same arithmetic step by step."""
+    a: list[float] = []
+    for rk in r:
+        a = [x - rk * y for x, y in zip(a, reversed(a))] + [rk]
     return a
 
 
@@ -134,8 +139,8 @@ def coeffs_to_pacf(coeffs: np.ndarray) -> np.ndarray:
     return r
 
 
-def _from_unconstrained(x: np.ndarray) -> np.ndarray:
-    return pacf_to_coeffs(_PACF_LIMIT * np.tanh(x))
+def _from_unconstrained(x: np.ndarray) -> list[float]:
+    return _levinson((_PACF_LIMIT * np.tanh(x)).tolist())
 
 
 def _to_unconstrained(coeffs: np.ndarray) -> np.ndarray:
@@ -147,12 +152,12 @@ def _unpack(spec: ModelSpec, vec: np.ndarray) -> ParameterVector:
     i = 0
     parts = {}
     for name, count in (("phi", spec.p), ("Phi", spec.P), ("theta", spec.q), ("Theta", spec.Q)):
-        parts[name] = tuple(_from_unconstrained(vec[i : i + count]))
+        parts[name] = tuple(_from_unconstrained(vec[i : i + count])) if count else ()
         i += count
-    mu = float(vec[i]) if spec.constant else 0.0
-    i += int(spec.constant)
-    gamma = tuple(vec[i : i + spec.exog_count])
-    return ParameterVector(mu=mu, gamma=gamma, sigma2=1.0, **parts)
+    tail = vec[i:].tolist()
+    c = int(spec.constant)
+    mu = tail[0] if c else 0.0
+    return ParameterVector(mu=mu, gamma=tuple(tail[c : c + spec.exog_count]), sigma2=1.0, **parts)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +284,7 @@ def fit(
         converged=bool(best.success),
         iterations=int(best.nit),
         boundary_flags=tuple(flags),
+        evaluations=int(best.nfev),
     )
     return FittedModel(
         spec=spec,

@@ -110,8 +110,9 @@ def _variance_recursion(
     """Run the recursion with presample eps2 and sigma2 both equal to v0."""
     p = alpha.shape[0]
     q = beta.shape[0]
+    m = eps2.shape[0]
     eps2_ext = np.concatenate([np.full(p, v0), eps2])
-    arch = lfilter(np.concatenate([[0.0], alpha]), [1.0], eps2_ext)[p:]
+    arch = np.convolve(np.concatenate([[0.0], alpha]), eps2_ext)[p : p + m]
     x = alpha0 + arch
     if q == 0:
         return x

@@ -12,6 +12,7 @@ its inverse can refuse to run on the wrong scale.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -139,8 +140,25 @@ def format_hour(ts: datetime) -> str:
     return _check_whole_hour(ts).strftime("%Y-%m-%dT%H:%MZ")
 
 
+# the canonical form format_hour writes, ASCII digits only
+_CANONICAL_HOUR = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2})Z")
+
+
 def parse_hour(text: str) -> datetime:
-    """Parse an ISO-8601 UTC whole hour (``...T00:00Z``, seconds optional)."""
+    """Parse an ISO-8601 UTC whole hour (``...T00:00Z``, seconds optional).
+
+    The canonical ``YYYY-MM-DDTHH:MMZ`` form is built directly; every other
+    string, and a canonical one with an out-of-range field, goes through
+    ``strptime``, which alone decides what else is accepted.
+    """
+    match = _CANONICAL_HOUR.fullmatch(text) if isinstance(text, str) else None
+    if match is not None:
+        try:
+            parsed = datetime(*map(int, match.groups()), tzinfo=timezone.utc)
+        except ValueError:
+            pass
+        else:
+            return _check_whole_hour(parsed)
     for pattern in ("%Y-%m-%dT%H:%MZ", "%Y-%m-%dT%H:%M:%SZ"):
         try:
             parsed = datetime.strptime(text, pattern)

@@ -77,6 +77,21 @@ class TestBuilders:
         assert pipeline.log_offset.c == 1000.0
         assert pipeline.garch == GarchSpec(p=1, q=1)
 
+    @pytest.mark.parametrize(
+        "kind, regressors",
+        [("arma_delta", 0), ("armax_delta", 1), ("sarima_rtlmp", 0), ("sarimax_rtlmp", 1)],
+    )
+    def test_one_exog_count_rule_for_every_kind(self, kind, regressors):
+        from lmpcast.backtest import exog_count
+
+        assert exog_count(kind) == regressors
+        merged = cfg.merge_config({"pipeline": kind})
+        assert cfg.build_model_spec(merged).exog_count == regressors
+        assert cfg.build_pipeline(merged).spec.exog_count == regressors
+        wrong = ModelSpec(p=1, exog_count=1 - regressors)
+        with pytest.raises(ValueError, match=f"requires exog_count={regressors}"):
+            PipelineConfig(kind=kind, spec=wrong)
+
     def test_seasonal_preset_order(self):
         spec = cfg.build_model_spec(cfg.merge_config(cfg.PRESETS["sarima-paper"]))
         assert (spec.p, spec.q, spec.P, spec.Q) == (2, 1, 1, 1)
@@ -161,6 +176,20 @@ class TestModelArtifact:
         gspec, gparams = garch
         assert (gspec, gparams) == fitted.garch
         assert diagnostics == fitted.diagnostics
+        assert diagnostics.evaluations == fitted.diagnostics.evaluations
+        assert diagnostics.evaluations >= diagnostics.iterations > 0
+        assert '"evaluations": %d' % diagnostics.evaluations in text
+
+    def test_artifact_without_evaluation_count_reads_zero(self):
+        merged = cfg.merge_config({"pipeline": "arma_delta", "order": {"p": 1}, "synth": {"length": 300}})
+        data = synth_market(cfg.build_synth_config(merged))
+        fitted = fit_pipeline(cfg.build_pipeline(merged), data, cfg.build_fit_options(merged))
+        text = cfg.fitted_to_artifact(merged, fitted)
+        older = text.replace('"evaluations": %d,' % fitted.diagnostics.evaluations, "")
+        assert older != text
+        *_, diagnostics = cfg.artifact_to_parts(older)
+        assert diagnostics.evaluations == 0
+        assert diagnostics.iterations == fitted.diagnostics.iterations
 
     def test_artifact_without_garch(self):
         merged = cfg.merge_config(
@@ -189,6 +218,7 @@ class TestModelArtifact:
         )
         data = synth_market(cfg.build_synth_config(merged))
         fitted = restore_pipeline_fit(cfg.build_pipeline(merged), data, params)
+        assert fitted.diagnostics.evaluations == 0
         assert cfg.fitted_to_artifact(merged, fitted) == cfg.fitted_to_artifact(
             merged, fitted
         )

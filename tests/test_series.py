@@ -30,6 +30,7 @@ from lmpcast.series import (
     sample_pacf,
     weekend_indicator,
 )
+from lmpcast.series import _check_whole_hour
 
 MONDAY = datetime(2015, 1, 5, tzinfo=timezone.utc)  # a Monday
 
@@ -101,6 +102,64 @@ def test_hour_format_round_trip():
     assert parse_hour("2015-01-05T00:00Z") == MONDAY
     assert parse_hour("2015-01-05T00:00:00Z") == MONDAY  # seconds variant accepted
     assert parse_hour(format_hour(MONDAY + 37 * HOUR)) == MONDAY + 37 * HOUR
+
+
+def _strptime_hour(text):
+    """parse_hour without its canonical fast path: the strptime loop alone."""
+    for pattern in ("%Y-%m-%dT%H:%MZ", "%Y-%m-%dT%H:%M:%SZ"):
+        try:
+            parsed = datetime.strptime(text, pattern)
+        except ValueError:
+            continue
+        return _check_whole_hour(parsed.replace(tzinfo=timezone.utc))
+    raise ValueError(f"not an ISO-8601 UTC whole hour: {text!r}")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_canonical_fast_path_matches_strptime():
+    start = datetime(1999, 12, 31, 22, tzinfo=timezone.utc)
+    for k in range(0, 24 * 800, 7):
+        text = format_hour(start + k * HOUR)
+        parsed = parse_hour(text)
+        assert parsed == _strptime_hour(text)
+        assert parsed.tzinfo is timezone.utc
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2015-01-05T00:00:00Z",  # seconds form
+        "2015-1-5T7:00Z",  # single-digit fields
+        "2015-01-05t07:00z",
+        "\u0662\u0660\u0661\u0665-01-05T07:00Z",  # non-ASCII digits
+        "2015-02-30T00:00Z",  # 30 February
+        "2015-13-05T00:00Z",
+        "2015-01-05T24:00Z",
+        "0000-01-05T00:00Z",
+        "2015-01-05T00:30Z",  # minute 30
+        "2015-01-05T00:00:30Z",
+        "2015-01-05T00:00Z trailing",
+        "2015-01-05T00:00Z\n",
+        "2015-01-05T00:00",
+    ],
+)
+def test_other_strings_behave_as_strptime(text):
+    assert _outcome(parse_hour, text) == _outcome(_strptime_hour, text)
+
+
+def test_rejections_keep_their_messages():
+    with pytest.raises(ValueError, match="^not an ISO-8601 UTC whole hour: '2015-02-30T00:00Z'$"):
+        parse_hour("2015-02-30T00:00Z")
+    with pytest.raises(ValueError, match="^timestamp must be a whole hour"):
+        parse_hour("2015-01-05T00:30Z")
+    with pytest.raises(ValueError, match="^not an ISO-8601 UTC whole hour"):
+        parse_hour("2015-01-05T00:00Z trailing")
 
 
 class TestClip:
