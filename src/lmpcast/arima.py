@@ -15,8 +15,10 @@ the fully seasonal case.
 The likelihood is the conditional Gaussian one: presample working-series
 values are backcast with the working-series sample mean, presample
 innovations are set to zero, and the sum runs over the full differenced
-sample. All recursions are linear filters. The finite-impulse-response
-steps (the AR side of the innovation filter and of its unit-backcast
+sample. The innovations are linear in ``mu`` and ``gamma``, so for a given
+AR/MA shape the likelihood is maximized over them (and ``sigma2``) in
+closed form (:func:`profiled_log_likelihood`). All recursions are linear
+filters. The finite-impulse-response steps (the AR side of the innovation filter and of its unit-backcast
 response, the forecast-variance sums) run as ``np.convolve``, which is what
 ``scipy.signal.lfilter`` computes for a unit denominator; the recursive
 ones run through ``lfilter``. The likelihood builds its lag arrays straight
@@ -293,21 +295,30 @@ def _innovations(
     by default the working-series sample mean; presample innovations are
     zero.
     """
-    ar = _lag_array(params.phi, params.Phi, spec.diff.S)
     ma = _lag_array(params.theta, params.Theta, spec.diff.S)
-    k_ar = ar.shape[0] - 1
-    m = w.shape[0]
-    if k_ar:
-        w_ext = np.empty(k_ar + m)
-        # the sum over the count is what w.mean() computes, without its overhead
-        w_ext[:k_ar] = w.sum() / m if backcast is None else backcast
-        w_ext[k_ar:] = w
-        rhs = np.convolve(ar, w_ext)[k_ar : k_ar + m] - params.mu
-    else:
-        rhs = w - params.mu
+    rhs = _ar_side(spec, params, w, backcast) - params.mu
     if U is not None:
         rhs = rhs - U @ np.asarray(params.gamma)
     return lfilter([1.0], ma, rhs) if ma.shape[0] > 1 else rhs
+
+
+def _ar_side(
+    spec: ModelSpec,
+    params: ParameterVector,
+    w: np.ndarray,
+    backcast: float | None = None,
+) -> np.ndarray:
+    """``phi(B) PHI(B^S) w_t`` over the working sample, lagged values backcast."""
+    ar = _lag_array(params.phi, params.Phi, spec.diff.S)
+    k_ar = ar.shape[0] - 1
+    if not k_ar:
+        return w
+    m = w.shape[0]
+    w_ext = np.empty(k_ar + m)
+    # the sum over the count is what w.mean() computes, without its overhead
+    w_ext[:k_ar] = w.sum() / m if backcast is None else backcast
+    w_ext[k_ar:] = w
+    return np.convolve(ar, w_ext)[k_ar : k_ar + m]
 
 
 def residuals(
@@ -343,26 +354,90 @@ def log_likelihood(
     return float(-0.5 * m * math.log(2.0 * math.pi * params.sigma2) - np.dot(eps, eps) / (2.0 * params.sigma2))
 
 
+_STEP_PREFIX = 256
+_STEP_MAX_PERIOD = 8
+
+
+def _step_response(ma: np.ndarray, m: int) -> np.ndarray:
+    """``lfilter([1.0], ma, np.ones(m))``, filtering only a prefix where it can.
+
+    With a constant input the filter state is a function of the last
+    ``k = len(ma) - 1`` outputs. Once those repeat the ``k`` outputs one
+    period earlier, the state repeats, and every later output repeats with
+    that period. An invertible MA side settles on such a floating-point
+    cycle (most often a fixed point) within a few dozen samples unless a
+    root is near the unit circle; the rest of the response is then the
+    cycle repeated, bit for bit. Otherwise the filter runs on from the
+    prefix's state.
+    """
+    k = ma.shape[0] - 1
+    n = min(m, max(_STEP_PREFIX, 2 * k + 2 * _STEP_MAX_PERIOD))
+    head, state = lfilter([1.0], ma, np.ones(n), zi=np.zeros(k))
+    if n == m:
+        return head
+    out = np.empty(m)
+    out[:n] = head
+    last = head[n - k - _STEP_MAX_PERIOD :].tolist()
+    end = len(last)
+    for period in range(1, _STEP_MAX_PERIOD + 1):
+        if last[end - k :] == last[end - k - period : end - period]:
+            for j in range(period):
+                out[n + j :: period] = last[end - period + j]
+            return out
+    out[n:] = lfilter([1.0], ma, np.ones(m - n), zi=state)[0]
+    return out
+
+
 def profiled_log_likelihood(
     spec: ModelSpec,
     params: ParameterVector,
     w: np.ndarray,
     U: np.ndarray | None,
-) -> tuple[float, float]:
-    """Log-likelihood with sigma2 profiled out analytically.
+) -> tuple[float, float, tuple[float, ...]]:
+    """Log-likelihood maximized over ``mu``, ``gamma`` and ``sigma2`` for the shape in ``params``.
 
-    Returns ``(loglik, sigma2_hat)`` where ``sigma2_hat`` is the mean squared
-    innovation, the analytic maximizer of the Gaussian likelihood given the
-    other parameters. Used by the estimation layer to drop one dimension
-    from the numeric search.
+    Only the AR/MA factors of ``params`` are read (``phi``, ``Phi``,
+    ``theta``, ``Theta``). The innovations are linear in the regression
+    coefficients ``beta = (mu, *gamma)`` (``mu`` only with a constant):
+    ``e = F(a) - F([1, U]) beta``, where ``a`` is the AR side of the working
+    series and ``F`` the zero-state MA inverse filter (Box, Jenkins &
+    Reinsel, ch. 7). One ``lfilter`` call filters ``a`` and any regressor
+    columns together; the constant's column is the filter's step response
+    (:func:`_step_response`). ``beta`` is their least-squares solution and
+    ``sigma2_hat`` the mean squared innovation. Returns
+    ``(loglik, sigma2_hat, beta)``.
     """
-    eps = _innovations(spec, params, w, U)
-    m = eps.shape[0]
+    a = _ar_side(spec, params, w)
+    ma = _lag_array(params.theta, params.Theta, spec.diff.S)
+    m = w.shape[0]
+    rows = a if U is None else np.vstack([a, U.T])
+    if ma.shape[0] > 1:
+        rows = lfilter([1.0], ma, rows)
+    y = rows if U is None else rows[0]
+    columns = [_step_response(ma, m)] if spec.constant else []
+    if U is not None:
+        columns.extend(rows[1:])
+    if len(columns) == 1:
+        z = columns[0]
+        zz = float(np.dot(z, z))
+        beta = (float(np.dot(z, y)) / zz if zz > 0.0 else 0.0,)
+        eps = y - beta[0] * z
+    elif columns:
+        Z = np.array(columns)
+        try:
+            solved = np.linalg.solve(Z @ Z.T, Z @ y)
+        except np.linalg.LinAlgError:  # collinear regressors: minimum-norm solution
+            solved = np.linalg.lstsq(Z.T, y, rcond=None)[0]
+        beta = tuple(solved.tolist())
+        eps = y - solved @ Z
+    else:
+        beta = ()
+        eps = y
     sigma2 = float(np.dot(eps, eps) / m)
     if sigma2 <= 0.0 or not math.isfinite(sigma2):
-        return float("-inf"), sigma2
+        return float("-inf"), sigma2, beta
     loglik = -0.5 * m * (math.log(2.0 * math.pi * sigma2) + 1.0)
-    return loglik, sigma2
+    return loglik, sigma2, beta
 
 
 def burn_in(spec: ModelSpec) -> int:
@@ -466,6 +541,11 @@ class OriginForecasts:
         s2 = np.broadcast_to(np.asarray(innovation_variances, dtype=np.float64), self.mean.shape)
         weights = self.psi**2
         return np.array([np.convolve(weights, row)[: row.shape[0]] for row in s2])
+
+    def result(self, history: HourlySeries, innovation_variances: float | np.ndarray) -> ForecastResult:
+        """The first origin's forecasts, which start at the end of ``history``."""
+        mean = HourlySeries(history.end, self.mean[0], history.units)
+        return ForecastResult(mean=mean, variance=self.variance(innovation_variances)[0], psi=self.psi)
 
 
 def forecast_origins(
@@ -580,6 +660,25 @@ def forecast(
     conditional-variance model). This is :func:`forecast_origins` with the
     single origin at the end of ``history``.
     """
+    paths = _end_of_history_paths(spec, params, history, exog_history, exog_future, horizon)
+    s2: float | np.ndarray = params.sigma2
+    if innovation_variances is not None:
+        s2 = np.asarray(innovation_variances, dtype=np.float64)
+        if s2.shape[0] < horizon:
+            raise ValueError("innovation_variances must cover every forecast step")
+        s2 = s2[:horizon]
+    return paths.result(history, s2)
+
+
+def _end_of_history_paths(
+    spec: ModelSpec,
+    params: ParameterVector,
+    history: HourlySeries,
+    exog_history: ExogenousMatrix | None,
+    exog_future: ExogenousMatrix | None,
+    horizon: int,
+) -> OriginForecasts:
+    """:func:`forecast_origins` from the one origin at the end of ``history``."""
     _validate_exog(spec, history, exog_history)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -605,12 +704,4 @@ def forecast(
                 for past, future in zip(exog_history.columns, exog_future.columns)
             )
         )
-    s2: float | np.ndarray = params.sigma2
-    if innovation_variances is not None:
-        s2 = np.asarray(innovation_variances, dtype=np.float64)
-        if s2.shape[0] < horizon:
-            raise ValueError("innovation_variances must cover every forecast step")
-        s2 = s2[:horizon]
-    paths = forecast_origins(spec, params, history, exog, [len(history)], horizon)
-    mean = HourlySeries(history.end, paths.mean[0], history.units)
-    return ForecastResult(mean=mean, variance=paths.variance(s2)[0], psi=paths.psi)
+    return forecast_origins(spec, params, history, exog, [len(history)], horizon)

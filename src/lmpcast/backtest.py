@@ -28,8 +28,6 @@ from .arima import (
     OriginForecasts,
     ParameterVector,
     forecast_origins,
-    log_likelihood,
-    residuals,
 )
 from .dataio import MarketDataset
 from .errors import (
@@ -37,7 +35,7 @@ from .errors import (
     AllTermsExcluded,
     MismatchedWindows,
 )
-from .estimation import Diagnostics, FitOptions, FittedModel, bic, fit
+from .estimation import Diagnostics, FitOptions, FittedModel, assemble_fit, fit
 from .garch import GarchParams, GarchSpec, attach_garch, forecast_variance_origins
 from .series import (
     HOUR,
@@ -160,13 +158,17 @@ def fit_pipeline(
     config: PipelineConfig,
     train: MarketDataset,
     options: FitOptions = FitOptions(),
+    start: ParameterVector | None = None,
 ) -> FittedModel:
-    """Fit the pipeline's model (and optional GARCH layer) on a training window."""
+    """Fit the pipeline's model (and optional GARCH layer) on a training window.
+
+    ``start`` is passed to :func:`lmpcast.estimation.fit` as the first start.
+    """
     if config.kind in DEGENERATE_KINDS:
         raise ValueError(f"{config.kind} pipelines have nothing to fit")
     modeled = transform_target(config, train)
     exog = exog_window(config, train.dalmp)
-    fitted = fit(config.spec, modeled, exog, options)
+    fitted = fit(config.spec, modeled, exog, options, start)
     if config.garch is not None:
         fitted = attach_garch(fitted, config.garch, options)
     return fitted
@@ -187,23 +189,11 @@ def restore_pipeline_fit(
     """
     if config.kind in DEGENERATE_KINDS:
         raise ValueError(f"{config.kind} pipelines have no parameters")
-    modeled = transform_target(config, train)
-    exog = exog_window(config, train.dalmp)
-    resid = residuals(config.spec, params, modeled, exog)
-    loglik = log_likelihood(config.spec, params, modeled, exog)
-    n_eff = len(resid)
     if diagnostics is None:
         diagnostics = Diagnostics(converged=True, iterations=0, boundary_flags=(), evaluations=0)
-    return FittedModel(
-        spec=config.spec,
-        params=params,
-        loglik=loglik,
-        bic=bic(loglik, config.spec.n_params, n_eff),
-        n_effective=n_eff,
-        residuals=resid,
-        diagnostics=diagnostics,
-        garch=garch,
-    )
+    modeled = transform_target(config, train)
+    exog = exog_window(config, train.dalmp)
+    return assemble_fit(config.spec, params, modeled, exog, diagnostics, garch)
 
 
 @dataclass(frozen=True)
@@ -373,7 +363,12 @@ def mae(actual: HourlySeries, forecast: HourlySeries) -> float:
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """Per-horizon improvement indices and errors over one test window."""
+    """Per-horizon improvement indices and errors over one test window.
+
+    ``fits`` counts the model fits the backtest made, ``unconverged`` those
+    whose search stopped without converging, and ``evaluations`` their
+    objective evaluations in total.
+    """
 
     horizon: int
     n_origins: int
@@ -382,6 +377,9 @@ class BacktestReport:
     excluded: tuple[int, ...]
     test_start: datetime
     test_length: int
+    fits: int = 0
+    unconverged: int = 0
+    evaluations: int = 0
 
     def __post_init__(self) -> None:
         for name in ("improvement", "mae", "excluded"):
@@ -399,6 +397,9 @@ class BacktestReport:
             "excluded": list(self.excluded),
             "test_start": format_hour(self.test_start),
             "test_length": self.test_length,
+            "fits": self.fits,
+            "unconverged": self.unconverged,
+            "evaluations": self.evaluations,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -413,6 +414,9 @@ class BacktestReport:
             excluded=tuple(int(v) for v in payload["excluded"]),
             test_start=parse_hour(payload["test_start"]),
             test_length=int(payload["test_length"]),
+            fits=int(payload.get("fits", 0)),
+            unconverged=int(payload.get("unconverged", 0)),
+            evaluations=int(payload.get("evaluations", 0)),
         )
 
 
@@ -429,9 +433,10 @@ def rolling_backtest(
 
     Under the default ``fit-once`` policy the model is fitted on the
     training window alone; ``refit="rolling"`` refits at every origin on
-    the history up to that origin. Either way each origin conditions on
-    all prices observed before it, and forecast steps falling beyond the
-    test window are dropped.
+    the history up to that origin, starting each search from the previous
+    origin's estimate. Either way each origin conditions on all prices
+    observed before it, and forecast steps falling beyond the test window
+    are dropped. The report counts the fits and their diagnostics.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -445,11 +450,13 @@ def rolling_backtest(
             f"train ends {train.end.isoformat()} but test starts {test.start.isoformat()}"
         )
 
+    fits: list[Diagnostics] = []
     if config.kind in DEGENERATE_KINDS:
         source = test.dalmp if config.kind == "baseline" else test.rtlmp
         forecasts = _ahead(source.values, np.arange(n_test), horizon)
     else:
         fitted = fit_pipeline(config, train, options)
+        fits.append(fitted.diagnostics)
         data = MarketDataset(
             concat(train.dalmp, test.dalmp), concat(train.rtlmp, test.rtlmp), train.node
         )
@@ -471,7 +478,8 @@ def rolling_backtest(
             steps = min(horizon, n_test - origin)
             history = data.window(0, n_train + origin)
             if refit == "rolling" and origin > 0:
-                fitted = fit_pipeline(config, history, options)
+                fitted = fit_pipeline(config, history, options, start=fitted.params)
+                fits.append(fitted.diagnostics)
             future_da = test.dalmp.window(origin, steps)
             prices, _ = pipeline_forecast(config, fitted, history, future_da, steps, shared)
             forecasts[origin, :steps] = prices.values
@@ -496,6 +504,9 @@ def rolling_backtest(
         excluded=tuple(excluded),
         test_start=test.start,
         test_length=n_test,
+        fits=len(fits),
+        unconverged=sum(not d.converged for d in fits),
+        evaluations=sum(d.evaluations for d in fits),
     )
 
 

@@ -197,7 +197,8 @@ def cmd_fit(args: argparse.Namespace, config: dict[str, Any]) -> int:
         out.write(cfg.fitted_to_artifact(config, fitted))
     print(
         f"fit {config['pipeline']} on {len(train)} hours: "
-        f"loglik={fitted.loglik:.4f} bic={fitted.bic:.4f}"
+        f"loglik={fitted.loglik:.4f} bic={fitted.bic:.4f} "
+        f"converged={fitted.diagnostics.converged} evaluations={fitted.diagnostics.evaluations}"
     )
     if fitted.diagnostics.boundary_flags:
         print("flags: " + ", ".join(fitted.diagnostics.boundary_flags))

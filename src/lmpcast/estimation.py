@@ -3,10 +3,11 @@
 Fitting runs a derivative-free simplex search in an unconstrained
 coordinate system: AR and MA factor coefficients are mapped through the
 partial-autocorrelation reparameterization (each factor independently),
-so every point the optimizer visits is stationary and invertible, and the
-innovation variance is profiled out analytically. GARCH coefficients are
-mapped through exp/softmax-style transforms that keep them non-negative
-with persistence below one. All searches are multi-start with seeded
+so every point the optimizer visits is stationary and invertible. The
+intercept, the regression coefficients and the innovation variance are
+concentrated out in closed form, so the search sees only the AR/MA shape.
+GARCH coefficients are mapped through exp/softmax-style transforms that
+keep them non-negative with persistence below one. All searches are multi-start with seeded
 jitter and therefore deterministic.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_toeplitz
@@ -24,17 +25,17 @@ from .arima import (
     ExogenousMatrix,
     ModelSpec,
     ParameterVector,
+    _end_of_history_paths,
     _validate_exog,
     _working_series,
     ar_polynomial,
-    forecast,
     log_likelihood,
     ma_polynomial,
     profiled_log_likelihood,
     residuals,
 )
 from .errors import EstimationFailed, LmpcastError, SeriesTooShort
-from .garch import GarchParams, GarchSpec, _variance_recursion, forecast_variance
+from .garch import GarchParams, GarchSpec, _forecast_variance, _variance_recursion
 from .lagpoly import is_stable
 from .series import HourlySeries
 
@@ -46,6 +47,7 @@ __all__ = [
     "pacf_to_coeffs",
     "coeffs_to_pacf",
     "fit",
+    "assemble_fit",
     "bic",
     "grid_select",
     "fit_garch",
@@ -63,7 +65,8 @@ class FitOptions:
     """Optimizer controls shared by ARMA and GARCH fitting.
 
     ``restarts`` is the total number of simplex starts; the first uses the
-    moment-based starting point, later ones jitter it with seeded noise.
+    moment-based starting point (or the start :func:`fit` is given), later
+    ones jitter it with seeded noise.
     """
 
     max_iterations: int = 2000
@@ -139,25 +142,27 @@ def coeffs_to_pacf(coeffs: np.ndarray) -> np.ndarray:
     return r
 
 
-def _from_unconstrained(x: np.ndarray) -> list[float]:
-    return _levinson((_PACF_LIMIT * np.tanh(x)).tolist())
-
-
-def _to_unconstrained(coeffs: np.ndarray) -> np.ndarray:
-    r = coeffs_to_pacf(coeffs) / _PACF_LIMIT
+def _to_unconstrained(coeffs) -> np.ndarray:
+    r = coeffs_to_pacf(np.asarray(coeffs, dtype=np.float64)) / _PACF_LIMIT
     return np.arctanh(np.clip(r, -0.999999, 0.999999))
 
 
-def _unpack(spec: ModelSpec, vec: np.ndarray) -> ParameterVector:
-    i = 0
-    parts = {}
-    for name, count in (("phi", spec.p), ("Phi", spec.P), ("theta", spec.q), ("Theta", spec.Q)):
-        parts[name] = tuple(_from_unconstrained(vec[i : i + count])) if count else ()
-        i += count
-    tail = vec[i:].tolist()
-    c = int(spec.constant)
-    mu = tail[0] if c else 0.0
-    return ParameterVector(mu=mu, gamma=tuple(tail[c : c + spec.exog_count]), sigma2=1.0, **parts)
+class _Shape(NamedTuple):
+    """The AR/MA factors of a search point, all the likelihood kernel reads."""
+
+    phi: list[float]
+    Phi: list[float]
+    theta: list[float]
+    Theta: list[float]
+
+
+def _unpack(spec: ModelSpec, vec: np.ndarray) -> _Shape:
+    """The AR/MA shape at a search point, each factor through the PACF map on Python floats."""
+    r = [_PACF_LIMIT * math.tanh(t) for t in vec.tolist()]
+    i = spec.p
+    j = i + spec.P
+    k = j + spec.q
+    return _Shape(_levinson(r[:i]), _levinson(r[i:j]), _levinson(r[j:k]), _levinson(r[k:]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +197,23 @@ def _yule_walker(x: np.ndarray, order: int, spacing: int = 1) -> np.ndarray:
     return a
 
 
-def _starting_vector(spec: ModelSpec, w: np.ndarray, U: np.ndarray | None) -> np.ndarray:
-    cols = []
-    if spec.constant:
-        cols.append(np.ones(w.shape[0]))
-    if U is not None:
-        cols.extend(U.T)
-    if cols:
-        X = np.column_stack(cols)
-        coef, *_ = np.linalg.lstsq(X, w, rcond=None)
-        adjusted = w - X @ coef
-    else:
-        coef = np.empty(0)
-        adjusted = w
-    pieces = [
-        _to_unconstrained(_yule_walker(adjusted, spec.p)),
-        _to_unconstrained(_yule_walker(adjusted, spec.P, spacing=spec.diff.S)),
-        np.zeros(spec.q),  # MA side starts at white noise
-        np.zeros(spec.Q),
-        coef,
-    ]
+def _starting_vector(spec: ModelSpec, w: np.ndarray, start: ParameterVector | None) -> np.ndarray:
+    """Search coordinates of the first start.
+
+    Without ``start``: Yule-Walker AR factors and a white-noise MA side.
+    With it: its factors, each padded with zero partial autocorrelations
+    (the same polynomial) or truncated to the spec's order.
+    """
+    if start is None:
+        return np.concatenate([
+            _to_unconstrained(_yule_walker(w, spec.p)),
+            _to_unconstrained(_yule_walker(w, spec.P, spacing=spec.diff.S)),
+            np.zeros(spec.q + spec.Q),  # MA side starts at white noise
+        ])
+    pieces = []
+    for coeffs, order in ((start.phi, spec.p), (start.Phi, spec.P), (start.theta, spec.q), (start.Theta, spec.Q)):
+        x = _to_unconstrained(coeffs)[:order]
+        pieces.extend([x, np.zeros(order - x.shape[0])])
     return np.concatenate(pieces)
 
 
@@ -249,43 +251,66 @@ def fit(
     series: HourlySeries,
     exog: ExogenousMatrix | None = None,
     options: FitOptions = FitOptions(),
+    start: ParameterVector | None = None,
 ) -> FittedModel:
     """Maximize the conditional Gaussian likelihood of the model.
 
-    The search runs over reparameterized coordinates, so the returned
-    parameters always satisfy stationarity and invertibility; the stored
-    log-likelihood is recomputed through :func:`lmpcast.arima.log_likelihood`
-    on the returned parameters.
+    The simplex searches only the AR/MA shape, in reparameterized
+    coordinates, so the returned parameters always satisfy stationarity
+    and invertibility; ``mu``, ``gamma`` and ``sigma2`` come in closed form
+    at every point (:func:`lmpcast.arima.profiled_log_likelihood`). A spec
+    without AR/MA terms is fitted in closed form alone. ``start`` (say, the
+    fit at the previous origin of a rolling backtest) replaces the
+    moment-based first start. The stored log-likelihood is recomputed
+    through :func:`lmpcast.arima.log_likelihood` on the returned parameters.
     """
     _validate_exog(spec, series, exog)
     w, U = _working_series(spec, series, exog)
 
     def objective(vec: np.ndarray) -> float:
-        params = _unpack(spec, vec)
-        loglik, _ = profiled_log_likelihood(spec, params, w, U)
+        loglik = profiled_log_likelihood(spec, _unpack(spec, vec), w, U)[0]
         return -loglik if math.isfinite(loglik) else 1e300
 
-    best = _run_simplex(objective, _starting_vector(spec, w, U), options)
-    shape = _unpack(spec, best.x)
-    _, sigma2 = profiled_log_likelihood(spec, shape, w, U)
+    if spec.p + spec.P + spec.q + spec.Q:
+        best = _run_simplex(objective, _starting_vector(spec, w, start), options)
+        shape = _unpack(spec, best.x)
+        converged, iterations, evaluations = bool(best.success), int(best.nit), int(best.nfev)
+    else:
+        shape = _Shape([], [], [], [])
+        converged, iterations, evaluations = True, 0, 1
+    _, sigma2, beta = profiled_log_likelihood(spec, shape, w, U)
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
         raise EstimationFailed("optimum has degenerate innovation variance")
-    params = replace(shape, sigma2=sigma2)
+    c = int(spec.constant)
+    params = ParameterVector(*shape, mu=beta[0] if c else 0.0, gamma=beta[c:], sigma2=sigma2)
 
-    loglik = log_likelihood(spec, params, series, exog)
-    resid = residuals(spec, params, series, exog)
-    n_eff = len(resid)
     flags = []
     if is_stable(ar_polynomial(spec, params)).margin < _BOUNDARY_MARGIN and spec.p + spec.P:
         flags.append("ar_near_boundary")
     if is_stable(ma_polynomial(spec, params)).margin < _BOUNDARY_MARGIN and spec.q + spec.Q:
         flags.append("ma_near_boundary")
     diagnostics = Diagnostics(
-        converged=bool(best.success),
-        iterations=int(best.nit),
+        converged=converged,
+        iterations=iterations,
         boundary_flags=tuple(flags),
-        evaluations=int(best.nfev),
+        evaluations=evaluations,
     )
+    return assemble_fit(spec, params, series, exog, diagnostics)
+
+
+def assemble_fit(
+    spec: ModelSpec,
+    params: ParameterVector,
+    series: HourlySeries,
+    exog: ExogenousMatrix | None,
+    diagnostics: Diagnostics,
+    garch: tuple[GarchSpec, GarchParams] | None = None,
+) -> FittedModel:
+    """A :class:`FittedModel` at given parameters, with its residuals,
+    log-likelihood and BIC computed on ``series``."""
+    loglik = log_likelihood(spec, params, series, exog)
+    resid = residuals(spec, params, series, exog)
+    n_eff = len(resid)
     return FittedModel(
         spec=spec,
         params=params,
@@ -294,6 +319,7 @@ def fit(
         n_effective=n_eff,
         residuals=resid,
         diagnostics=diagnostics,
+        garch=garch,
     )
 
 
@@ -446,17 +472,9 @@ def model_forecast(
     variance model is attached; with one attached, the per-step innovation
     variances in the impulse-response sum come from its variance forecast.
     """
+    paths = _end_of_history_paths(fitted.spec, fitted.params, history, exog_history, exog_future, horizon)
     if fitted.garch is None:
-        return forecast(fitted.spec, fitted.params, history, exog_history, exog_future, horizon)
+        return paths.result(history, fitted.params.sigma2)
     _, gparams = fitted.garch
-    resid = residuals(fitted.spec, fitted.params, history, exog_history)
-    gvar = forecast_variance(gparams, resid, horizon)
-    return forecast(
-        fitted.spec,
-        fitted.params,
-        history,
-        exog_history,
-        exog_future,
-        horizon,
-        innovation_variances=gvar,
-    )
+    # the residuals are the innovations of the pass that forecast the mean
+    return paths.result(history, _forecast_variance(gparams, paths.innovations(0), horizon))

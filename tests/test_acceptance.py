@@ -404,26 +404,34 @@ def test_criterion_9_determinism(tmp_path):
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
+    rolling_path = tmp_path / "rolling.json"
+    # the last day only: one refit per origin
+    rolling = {**config, "refit": "rolling", "test_start": "2001-01-30T00:00Z"}
+    rolling_path.write_text(json.dumps(rolling), encoding="utf-8")
 
     outputs = {}
     for run in ("a", "b"):
         data = tmp_path / f"data_{run}.csv"
         model = tmp_path / f"model_{run}.json"
         report = tmp_path / f"report_{run}.json"
+        rolling = tmp_path / f"rolling_{run}.json"
         fc = tmp_path / f"forecast_{run}.csv"
         argv = ["--config", str(config_path)]
         assert main(["synth", *argv, "--out", str(data)]) == 0
         assert main(["fit", *argv, "--data", str(data), "--out", str(model)]) == 0
         assert main(["backtest", *argv, "--data", str(data), "--out", str(report)]) == 0
         assert main(
+            ["backtest", "--config", str(rolling_path), "--data", str(data), "--out", str(rolling)]
+        ) == 0
+        assert main(
             ["forecast", *argv, "--model", str(model), "--data", str(data),
              "--out", str(fc)]
         ) == 0
-        outputs[run] = [p.read_bytes() for p in (data, model, report, fc)]
-    names = ["dataset", "model artifact", "backtest report", "forecast"]
+        outputs[run] = [p.read_bytes() for p in (data, model, report, rolling, fc)]
+    names = ["dataset", "model artifact", "backtest report", "rolling-refit report", "forecast"]
     for name, first, second in zip(names, outputs["a"], outputs["b"]):
         assert first == second, f"{name} differs between identical runs"
     print(
-        "criterion 9 PASS: dataset, model artifact, backtest report, and "
-        "forecast byte-identical across two runs"
+        "criterion 9 PASS: dataset, model artifact, backtest report, rolling-refit "
+        "report, and forecast byte-identical across two runs"
     )

@@ -1,10 +1,12 @@
 """Tests for pipelines, the improvement index, and rolling-origin evaluation."""
 
+import json
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+from lmpcast import backtest
 from lmpcast.arima import ModelSpec, ParameterVector
 from lmpcast.backtest import (
     BacktestReport,
@@ -430,6 +432,40 @@ class TestRollingBacktest:
         assert report.horizon == 2
         assert all(np.isfinite(v) for v in report.improvement)
 
+    @pytest.mark.parametrize("spec", [ModelSpec(p=1), ModelSpec(p=1, q=2)])
+    def test_rolling_refits_start_warm_and_match_cold_fits(self, spec, monkeypatch):
+        data = bench_market(406, seed=26)
+        train, test = data.window(0, 400), data.window(400, 6)
+        config = PipelineConfig(kind="arma_delta", spec=spec)
+        seen = []
+
+        def recording(config, history, options, start=None):
+            fitted = fit_pipeline(config, history, options, start)
+            seen.append((len(history), start, fitted))
+            return fitted
+
+        monkeypatch.setattr(backtest, "fit_pipeline", recording)
+        report = rolling_backtest(config, train, test, 2, refit="rolling", options=FAST)
+        assert [n for n, _, _ in seen] == list(range(400, 406))
+        assert seen[0][1] is None
+        for (n, start, warm), (_, _, previous) in zip(seen[1:], seen):
+            assert start == previous.params
+            cold = fit_pipeline(config, data.window(0, n), FAST)
+            assert warm.loglik == pytest.approx(cold.loglik, abs=1e-6)
+        assert (report.fits, report.unconverged) == (6, 0)
+        assert report.evaluations == sum(fitted.diagnostics.evaluations for _, _, fitted in seen)
+
+    def test_report_counts_fits(self):
+        data = bench_market(406, seed=27)
+        train, test = data.window(0, 400), data.window(400, 6)
+        config = PipelineConfig(kind="arma_delta", spec=ModelSpec(p=1, q=1))
+        report = rolling_backtest(config, train, test, 2, options=FAST)
+        fitted = fit_pipeline(config, train, FAST)
+        assert (report.fits, report.unconverged) == (1, 0)
+        assert report.evaluations == fitted.diagnostics.evaluations > 0
+        baseline = rolling_backtest(PipelineConfig(kind="baseline"), train, test, 2)
+        assert (baseline.fits, baseline.unconverged, baseline.evaluations) == (0, 0, 0)
+
 
 class TestBacktestReport:
     def test_json_round_trip(self):
@@ -441,8 +477,18 @@ class TestBacktestReport:
             excluded=(0, 1),
             test_start=MONDAY,
             test_length=48,
+            fits=24,
+            unconverged=1,
+            evaluations=3915,
         )
         assert BacktestReport.from_json(report.to_json()) == report
+
+    def test_report_without_fit_counts_reads_zero(self):
+        payload = json.loads(_report(10.0).to_json())
+        for key in ("fits", "unconverged", "evaluations"):
+            del payload[key]
+        report = BacktestReport.from_json(json.dumps(payload))
+        assert (report.fits, report.unconverged, report.evaluations) == (0, 0, 0)
 
     def test_field_lengths_validated(self):
         with pytest.raises(ValueError):

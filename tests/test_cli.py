@@ -187,8 +187,13 @@ class TestFitForecastBacktestCompare:
         model = ws.root / "model.json"
         rc = main(["fit", "--config", ws.config, "--data", ws.data, "--out", str(model)])
         assert rc == 0
-        assert "loglik=" in capsys.readouterr().out
         artifact = json.loads(model.read_text(encoding="utf-8"))
+        diagnostics = artifact["model"]["diagnostics"]
+        summary = capsys.readouterr().out
+        assert "loglik=" in summary
+        assert (
+            f"converged={diagnostics['converged']} evaluations={diagnostics['evaluations']}\n" in summary
+        )
         assert artifact["config"]["pipeline"] == "arma_delta"
         assert "phi" in artifact["model"]["params"]
 

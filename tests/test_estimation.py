@@ -19,6 +19,7 @@ from lmpcast.arima import (
 from lmpcast.errors import EstimationFailed, SeriesTooShort
 from lmpcast.estimation import (
     BicTable,
+    Diagnostics,
     FitOptions,
     bic,
     coeffs_to_pacf,
@@ -71,6 +72,26 @@ class TestFit:
         fitted = fit(ModelSpec(constant=True), y, options=FAST)
         assert fitted.params.mu == pytest.approx(y.values.mean(), abs=1e-8)
         assert fitted.params.sigma2 == pytest.approx(y.values.var(), abs=1e-8)
+        assert fitted.diagnostics == Diagnostics(converged=True, iterations=0, evaluations=1)
+
+    def test_regression_only_closed_form(self):
+        from lmpcast.arima import ExogenousMatrix
+
+        rng = np.random.default_rng(87)
+        x = rng.normal(size=400)
+        y = series(2.5 + 1.5 * x + rng.normal(0.0, 0.5, size=400))
+        exog = ExogenousMatrix((series(x),))
+        fitted = fit(ModelSpec(exog_count=1), y, exog, options=FAST)
+        X = np.column_stack([np.ones(400), x])
+        coef, *_ = np.linalg.lstsq(X, y.values, rcond=None)
+        assert fitted.params.mu == pytest.approx(coef[0], abs=1e-10)
+        assert fitted.params.gamma[0] == pytest.approx(coef[1], abs=1e-10)
+        resid = y.values - X @ coef
+        assert fitted.params.sigma2 == pytest.approx(np.dot(resid, resid) / 400, rel=1e-12)
+        assert fitted.diagnostics == Diagnostics(converged=True, iterations=0, evaluations=1)
+        no_constant = fit(ModelSpec(exog_count=1, constant=False), y, exog, options=FAST)
+        assert no_constant.params.mu == 0.0
+        assert no_constant.params.gamma[0] == pytest.approx(np.dot(x, y.values) / np.dot(x, x), abs=1e-10)
 
     def test_ar1_matches_conditional_least_squares(self):
         spec = ModelSpec(p=1, constant=False)
@@ -129,6 +150,32 @@ class TestFit:
         fitted = fit(spec, y, fit_exog, options=FAST)
         assert fitted.params.gamma[0] == pytest.approx(4.0, abs=0.2)
         assert fitted.params.phi[0] == pytest.approx(0.5, abs=0.05)
+
+    def test_warm_start_reaches_the_cold_optimum_in_fewer_evaluations(self):
+        spec = ModelSpec(p=1, q=2)
+        truth = ParameterVector(phi=(0.9,), theta=(0.25, 0.1), mu=0.6, sigma2=1.0)
+        y = simulate(spec, truth, 3000, seed=88)
+        cold = fit(spec, y, options=FAST)
+        warm = fit(spec, y, options=FAST, start=cold.params)
+        assert cold.diagnostics.converged and warm.diagnostics.converged
+        assert warm.loglik == pytest.approx(cold.loglik, abs=1e-6)
+        assert warm.diagnostics.evaluations < cold.diagnostics.evaluations
+
+    def test_warm_start_is_padded_or_truncated_in_pacf_coordinates(self):
+        from lmpcast.estimation import _starting_vector, _unpack, coeffs_to_pacf
+
+        start = ParameterVector(phi=(0.5, -0.2), theta=(0.3,), mu=1.0)
+        w = np.zeros(100)
+        # padding appends zero partial autocorrelations: the same polynomials
+        wider = ModelSpec(p=3, q=2)
+        shape = _unpack(wider, _starting_vector(wider, w, start))
+        np.testing.assert_allclose(shape.phi, [0.5, -0.2, 0.0], atol=1e-12)
+        np.testing.assert_allclose(shape.theta, [0.3, 0.0], atol=1e-12)
+        # truncation keeps the leading partial autocorrelations
+        narrower = ModelSpec(p=1)
+        shape = _unpack(narrower, _starting_vector(narrower, w, start))
+        np.testing.assert_allclose(shape.phi, coeffs_to_pacf(np.array(start.phi))[:1], atol=1e-12)
+        assert shape.theta == []
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
@@ -255,10 +302,20 @@ class TestFitGarch:
 
 class TestModelForecast:
     def test_combined_variance_formula(self):
+        self._check_combined_variance(
+            ModelSpec(p=1, constant=True), ParameterVector(phi=(0.6,), mu=0.0, sigma2=1.0), 3000
+        )
+
+    def test_combined_variance_formula_far_mean_short_history(self):
+        # the backcast of the first residuals still shows in the variance forecast
+        self._check_combined_variance(
+            ModelSpec(p=2, q=1), ParameterVector(phi=(0.5, 0.2), theta=(0.3,), mu=30.0, sigma2=1.0), 80
+        )
+
+    @staticmethod
+    def _check_combined_variance(spec, params, n):
         # layered variance must equal sum over j < h of psi_j^2 * g(h - j)
-        spec = ModelSpec(p=1, constant=True)
-        params = ParameterVector(phi=(0.6,), mu=0.0, sigma2=1.0)
-        y = simulate(spec, params, 3000, seed=85)
+        y = simulate(spec, params, n, seed=85)
         fitted = fit(spec, y, options=FAST)
         gparams = GarchParams(alpha0=0.1, alpha=(0.2,), beta=(0.7,))
         combined = replace(fitted, garch=(GarchSpec(p=1, q=1), gparams))

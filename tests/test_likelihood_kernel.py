@@ -4,12 +4,17 @@ The oracle here is the kernel as first written: AR and MA polynomials
 expanded through :class:`LagPolynomial` products, both filter sides run
 through ``lfilter``, and the parameter map run on numpy arrays for every
 factor, empty ones included. The dense kernel does the same arithmetic, so
-the innovations, the objective and every optimizer step must match it
-exactly; only seasonal and non-seasonal lags that overlap may sum in a
-different order.
+its innovations must match exactly; only seasonal and non-seasonal lags
+that overlap may sum in a different order.
+
+The concentrated likelihood is checked against least squares over the
+reference-filtered columns, against the reference likelihood at its own
+``(mu, gamma)`` and at perturbed ones, and against the search it replaced,
+which ran the simplex over ``mu`` and ``gamma`` too.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,14 +26,25 @@ from lmpcast.arima import (
     ModelSpec,
     ParameterVector,
     _innovations,
+    _step_response,
     _working_series,
     ar_polynomial,
     forecast_origins,
+    log_likelihood,
     ma_polynomial,
     profiled_log_likelihood,
     simulate,
 )
-from lmpcast.estimation import FitOptions, _PACF_LIMIT, _unpack, fit
+from lmpcast.estimation import (
+    FitOptions,
+    _PACF_LIMIT,
+    _run_simplex,
+    _to_unconstrained,
+    _unpack,
+    _yule_walker,
+    fit,
+    pacf_to_coeffs,
+)
 from lmpcast.garch import _variance_recursion
 from lmpcast.lagpoly import DifferenceSpec
 from lmpcast.series import HourlySeries
@@ -77,8 +93,70 @@ def reference_profiled(spec, params, w, U):
     return -0.5 * eps.shape[0] * (math.log(2.0 * math.pi * sigma2) + 1.0), sigma2
 
 
-def reference_objective(spec, vec, w, U):
-    return reference_profiled(spec, reference_unpack(spec, vec), w, U)[0]
+def reference_concentrated(spec, params, w, U):
+    """The likelihood maximized over (mu, gamma, sigma2), from the reference filter.
+
+    The innovations are linear in (mu, gamma), so each regression column is
+    minus the reference innovations of a unit coefficient on a zero series.
+    """
+    shape = ParameterVector(
+        phi=params.phi, Phi=params.Phi, theta=params.theta, Theta=params.Theta,
+        gamma=(0.0,) * spec.exog_count,
+    )
+    y = reference_innovations(spec, shape, w, U)
+    zeros = np.zeros_like(w)
+    columns = []
+    if spec.constant:
+        columns.append(-reference_innovations(spec, replace(shape, mu=1.0), zeros, U))
+    for j in range(spec.exog_count):
+        unit = tuple(float(i == j) for i in range(spec.exog_count))
+        columns.append(-reference_innovations(spec, replace(shape, gamma=unit), zeros, U))
+    beta = np.empty(0)
+    eps = y
+    if columns:
+        Z = np.column_stack(columns)
+        beta = np.linalg.lstsq(Z, y, rcond=None)[0]
+        eps = y - Z @ beta
+    sigma2 = float(np.dot(eps, eps) / eps.shape[0])
+    loglik = -0.5 * eps.shape[0] * (math.log(2.0 * math.pi * sigma2) + 1.0)
+    return loglik, sigma2, tuple(beta.tolist())
+
+
+def with_beta(spec, params, beta):
+    c = int(spec.constant)
+    return replace(params, mu=beta[0] if c else 0.0, gamma=tuple(beta[c:]))
+
+
+def reference_search_loglik(spec, y, exog, options):
+    """Log-likelihood of the search before concentration.
+
+    The simplex ran over the PACF coordinates and ``(mu, gamma)``, started
+    from least squares on the regressors and Yule-Walker on what they
+    leave; only ``sigma2`` was profiled out.
+    """
+    w, U = _working_series(spec, y, exog)
+    cols = ([np.ones(w.shape[0])] if spec.constant else []) + ([] if U is None else list(U.T))
+    coef = np.empty(0)
+    adjusted = w
+    if cols:
+        X = np.column_stack(cols)
+        coef = np.linalg.lstsq(X, w, rcond=None)[0]
+        adjusted = w - X @ coef
+    x0 = np.concatenate([
+        _to_unconstrained(_yule_walker(adjusted, spec.p)),
+        _to_unconstrained(_yule_walker(adjusted, spec.P, spacing=spec.diff.S)),
+        np.zeros(spec.q + spec.Q),
+        coef,
+    ])
+
+    def objective(vec):
+        loglik = reference_profiled(spec, reference_unpack(spec, vec), w, U)[0]
+        return -loglik if math.isfinite(loglik) else 1e300
+
+    best = _run_simplex(objective, x0, options)
+    params = reference_unpack(spec, best.x)
+    _, sigma2 = reference_profiled(spec, params, w, U)
+    return log_likelihood(spec, replace(params, sigma2=sigma2), y, exog)
 
 
 def _series(n=800, seed=0):
@@ -123,7 +201,26 @@ def test_innovations_equal_the_lag_polynomial_kernel(case):
     np.testing.assert_array_equal(arima._lag_array(params.theta, params.Theta, S), ma_polynomial(spec, params).dense())
     got = _innovations(spec, params, w, U)
     np.testing.assert_array_equal(got, reference_innovations(spec, params, w, U))
-    assert profiled_log_likelihood(spec, params, w, U) == reference_profiled(spec, params, w, U)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_concentrated_kernel_is_least_squares_over_the_reference_columns(case):
+    spec, params = CASES[case]
+    y = _series()
+    w, U = _working_series(spec, y, _exog(y) if spec.exog_count else None)
+    loglik, sigma2, beta = profiled_log_likelihood(spec, params, w, U)
+    want_loglik, want_sigma2, want_beta = reference_concentrated(spec, params, w, U)
+    assert len(beta) == int(spec.constant) + spec.exog_count
+    np.testing.assert_allclose(beta, want_beta, rtol=1e-10, atol=0)
+    # the value is the reference likelihood at the kernel's own (mu, gamma)
+    at_beta = reference_profiled(spec, with_beta(spec, params, beta), w, U)
+    np.testing.assert_allclose([loglik, sigma2], at_beta, rtol=1e-12, atol=0)
+    np.testing.assert_allclose([loglik, sigma2], [want_loglik, want_sigma2], rtol=1e-12, atol=0)
+    # and no other (mu, gamma) does better
+    rng = np.random.default_rng(11)
+    for shift in rng.normal(0.0, 0.05, (20, len(beta))):
+        perturbed = with_beta(spec, params, np.asarray(beta) + shift)
+        assert loglik >= reference_profiled(spec, perturbed, w, U)[0]
 
 
 @pytest.mark.parametrize("backcast", [0.0, -3.25, 17.0])
@@ -153,18 +250,60 @@ def test_overlapping_seasonal_lags_agree_to_rounding():
     )
 
 
+PREFIX = arima._STEP_PREFIX
+
+
+@pytest.mark.parametrize(
+    "ma, m, filtered",
+    [
+        ((1.0, 0.39, -0.11, 0.06), 5000, [PREFIX]),  # settles on a fixed point
+        ((1.0, 0.54, -0.23), 5000, [PREFIX]),  # settles on a 2-cycle
+        ((1.0, -0.2, 0.35, -0.24), 5000, [PREFIX]),  # a 3-cycle
+        ((1.0, 0.16, 0.37), PREFIX + 1, [PREFIX]),  # a 4-cycle, one sample past the prefix
+        ((1.0, -0.999), 3000, [PREFIX, 3000 - PREFIX]),  # near the unit circle: runs on
+        (tuple(arima._lag_array((0.2,), (0.6,), 24)), 2000, [PREFIX, 2000 - PREFIX]),  # seasonal
+        ((1.0, -0.4), 60, [60]),  # shorter than the prefix
+        ((1.0,), 500, [PREFIX]),  # no MA side
+    ],
+)
+def test_step_response_equals_the_filtered_constant(ma, m, filtered, monkeypatch):
+    ma = np.array(ma)
+    calls = []
+
+    def counting(b, a, x, **kwargs):
+        calls.append(x.shape[0])
+        return lfilter(b, a, x, **kwargs)
+
+    monkeypatch.setattr(arima, "lfilter", counting)
+    np.testing.assert_array_equal(_step_response(ma, m), lfilter([1.0], ma, np.ones(m)))
+    assert calls == filtered
+
+
+def test_step_response_equals_the_filtered_constant_for_random_ma_sides():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        theta = pacf_to_coeffs(rng.uniform(-0.95, 0.95, rng.integers(1, 6)))
+        Theta = pacf_to_coeffs(rng.uniform(-0.9, 0.9, rng.integers(0, 2)))
+        ma = arima._lag_array(tuple(theta), tuple(Theta), 24)
+        m = int(rng.integers(50, 3000))
+        np.testing.assert_array_equal(_step_response(ma, m), lfilter([1.0], ma, np.ones(m)))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_objective_equals_the_reference_at_random_points(case):
     spec, _ = CASES[case]
     y = _series()
     w, U = _working_series(spec, y, _exog(y) if spec.exog_count else None)
     rng = np.random.default_rng(7)
-    n = spec.p + spec.P + spec.q + spec.Q + int(spec.constant) + spec.exog_count
+    n = spec.p + spec.P + spec.q + spec.Q
     for vec in [np.zeros(n), *rng.normal(0.0, 1.5, (20, n))]:
-        params = _unpack(spec, vec)
-        assert params == reference_unpack(spec, vec)
-        loglik, _ = profiled_log_likelihood(spec, params, w, U)
-        assert loglik == reference_objective(spec, vec, w, U)
+        shape = _unpack(spec, vec)
+        want = reference_unpack(spec, np.concatenate([vec, np.zeros(int(spec.constant) + spec.exog_count)]))
+        for name in ("phi", "Phi", "theta", "Theta"):
+            # math.tanh and np.tanh may differ in the last bit
+            np.testing.assert_allclose(getattr(shape, name), getattr(want, name), rtol=1e-14, atol=1e-15)
+        loglik = profiled_log_likelihood(spec, shape, w, U)[0]
+        np.testing.assert_allclose(loglik, reference_concentrated(spec, want, w, U)[0], rtol=1e-12)
 
 
 def test_pacf_map_equals_the_array_recursion():
@@ -185,20 +324,40 @@ FITS = {
 
 @pytest.mark.parametrize("name", sorted(FITS))
 def test_fit_takes_the_same_steps_as_the_reference_objective(name, monkeypatch):
+    # the kernel and the reference agree to rounding, which may flip a
+    # near-tie in the simplex: the paths match to within a few steps
     spec, with_exog = FITS[name]
     y = _series(600, seed=4)
     exog = _exog(y) if with_exog else None
     options = FitOptions(restarts=2, seed=3)
-    dense = fit(spec, y, exog, options)
-    monkeypatch.setattr(arima, "_innovations", reference_innovations)
-    monkeypatch.setattr(estimation, "_unpack", reference_unpack)
-    reference = fit(spec, y, exog, options)
-    assert dense.params == reference.params
-    assert dense.loglik == reference.loglik
-    # iterations and evaluations included
-    assert dense.diagnostics == reference.diagnostics
-    assert dense.diagnostics.evaluations > 0
-    np.testing.assert_array_equal(dense.residuals.values, reference.residuals.values)
+    kernel = fit(spec, y, exog, options)
+    calls = []
+
+    def reference(*args):
+        calls.append(1)
+        return reference_concentrated(*args)
+
+    monkeypatch.setattr(estimation, "profiled_log_likelihood", reference)
+    oracle = fit(spec, y, exog, options)
+    assert len(calls) > 1  # the reference objective really ran the search
+    assert kernel.diagnostics.converged and oracle.diagnostics.converged
+    assert kernel.diagnostics.evaluations > 0
+    assert abs(kernel.diagnostics.iterations - oracle.diagnostics.iterations) <= 5
+    np.testing.assert_allclose(kernel.loglik, oracle.loglik, rtol=1e-10)
+    for name in ("phi", "Phi", "theta", "Theta", "gamma"):
+        np.testing.assert_allclose(getattr(kernel.params, name), getattr(oracle.params, name), atol=1e-5)
+    np.testing.assert_allclose(kernel.params.mu, oracle.params.mu, atol=1e-5)
+    np.testing.assert_allclose(kernel.params.sigma2, oracle.params.sigma2, rtol=1e-8)
+
+
+def test_every_grid_cell_reaches_the_reference_search():
+    truth = ParameterVector(phi=(0.9,), theta=(0.25, 0.1), mu=0.6, sigma2=1.0)
+    y = simulate(ModelSpec(p=1, q=2), truth, 1500, seed=12)
+    options = FitOptions(restarts=1, seed=0)
+    for p in range(1, 4):
+        for q in range(1, 4):
+            spec = ModelSpec(p=p, q=q)
+            assert fit(spec, y, options=options).loglik >= reference_search_loglik(spec, y, None, options) - 1e-9, (p, q)
 
 
 def reference_variance_recursion(alpha0, alpha, beta, eps2, v0):
