@@ -354,38 +354,9 @@ def log_likelihood(
     return float(-0.5 * m * math.log(2.0 * math.pi * params.sigma2) - np.dot(eps, eps) / (2.0 * params.sigma2))
 
 
-_STEP_PREFIX = 256
-_STEP_MAX_PERIOD = 8
-
-
-def _step_response(ma: np.ndarray, m: int) -> np.ndarray:
-    """``lfilter([1.0], ma, np.ones(m))``, filtering only a prefix where it can.
-
-    With a constant input the filter state is a function of the last
-    ``k = len(ma) - 1`` outputs. Once those repeat the ``k`` outputs one
-    period earlier, the state repeats, and every later output repeats with
-    that period. An invertible MA side settles on such a floating-point
-    cycle (most often a fixed point) within a few dozen samples unless a
-    root is near the unit circle; the rest of the response is then the
-    cycle repeated, bit for bit. Otherwise the filter runs on from the
-    prefix's state.
-    """
-    k = ma.shape[0] - 1
-    n = min(m, max(_STEP_PREFIX, 2 * k + 2 * _STEP_MAX_PERIOD))
-    head, state = lfilter([1.0], ma, np.ones(n), zi=np.zeros(k))
-    if n == m:
-        return head
-    out = np.empty(m)
-    out[:n] = head
-    last = head[n - k - _STEP_MAX_PERIOD :].tolist()
-    end = len(last)
-    for period in range(1, _STEP_MAX_PERIOD + 1):
-        if last[end - k :] == last[end - k - period : end - period]:
-            for j in range(period):
-                out[n + j :: period] = last[end - period + j]
-            return out
-    out[n:] = lfilter([1.0], ma, np.ones(m - n), zi=state)[0]
-    return out
+# The normal equations lose about log10(cond(Z Z')) of beta's sixteen digits;
+# beyond eight the least squares is solved from Z itself.
+_NORMAL_EQUATIONS_COND = 1e8
 
 
 def profiled_log_likelihood(
@@ -401,32 +372,35 @@ def profiled_log_likelihood(
     coefficients ``beta = (mu, *gamma)`` (``mu`` only with a constant):
     ``e = F(a) - F([1, U]) beta``, where ``a`` is the AR side of the working
     series and ``F`` the zero-state MA inverse filter (Box, Jenkins &
-    Reinsel, ch. 7). One ``lfilter`` call filters ``a`` and any regressor
-    columns together; the constant's column is the filter's step response
-    (:func:`_step_response`). ``beta`` is their least-squares solution and
-    ``sigma2_hat`` the mean squared innovation. Returns
-    ``(loglik, sigma2_hat, beta)``.
+    Reinsel, ch. 7). One ``lfilter`` call filters ``a``, a row of ones for
+    the constant and any regressor columns together. ``beta`` is their
+    least-squares solution and ``sigma2_hat`` the mean squared innovation.
+    Returns ``(loglik, sigma2_hat, beta)``.
     """
     a = _ar_side(spec, params, w)
     ma = _lag_array(params.theta, params.Theta, spec.diff.S)
     m = w.shape[0]
-    rows = a if U is None else np.vstack([a, U.T])
-    if ma.shape[0] > 1:
-        rows = lfilter([1.0], ma, rows)
-    y = rows if U is None else rows[0]
-    columns = [_step_response(ma, m)] if spec.constant else []
+    rows = [a]
+    if spec.constant:
+        rows.append(np.ones(m))
     if U is not None:
-        columns.extend(rows[1:])
-    if len(columns) == 1:
-        z = columns[0]
+        rows.extend(U.T)
+    Y = np.array(rows)
+    if ma.shape[0] > 1:
+        Y = lfilter([1.0], ma, Y)
+    y, Z = Y[0], Y[1:]
+    if Z.shape[0] == 1:
+        z = Z[0]
         zz = float(np.dot(z, z))
         beta = (float(np.dot(z, y)) / zz if zz > 0.0 else 0.0,)
         eps = y - beta[0] * z
-    elif columns:
-        Z = np.array(columns)
-        try:
-            solved = np.linalg.solve(Z @ Z.T, Z @ y)
-        except np.linalg.LinAlgError:  # collinear regressors: minimum-norm solution
+    elif Z.shape[0]:
+        G = Z @ Z.T
+        if not np.isfinite(G).all():  # an explosive MA side: -inf, as with one column
+            return float("-inf"), math.nan, (math.nan,) * Z.shape[0]
+        if np.linalg.cond(G) < _NORMAL_EQUATIONS_COND:
+            solved = np.linalg.solve(G, Z @ y)
+        else:  # near-collinear columns: solve from Z, whose condition G squares
             solved = np.linalg.lstsq(Z.T, y, rcond=None)[0]
         beta = tuple(solved.tolist())
         eps = y - solved @ Z
