@@ -21,8 +21,9 @@ closed form (:func:`profiled_log_likelihood`). All recursions are linear
 filters. The finite-impulse-response steps (the AR side of the innovation filter and of its unit-backcast
 response, the forecast-variance sums) run as ``np.convolve``, which is what
 ``scipy.signal.lfilter`` computes for a unit denominator; the recursive
-ones run through ``lfilter``. The likelihood builds its lag arrays straight
-from the factor tuples, so one evaluation builds no :class:`LagPolynomial`.
+ones run through ``lfilter``. The likelihood and the forecast kernel build
+their lag arrays straight from the factor tuples, so one evaluation builds
+no :class:`LagPolynomial`.
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ def _working_series(
     series: HourlySeries,
     exog: ExogenousMatrix | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Difference the target and regressors; returns (w, U) on the working scale."""
+    """Difference the target and each regressor column over its own length; returns (w, U)."""
     if len(series) < spec.min_series_length():
         raise SeriesTooShort(
             f"series of length {len(series)} is below the minimum {spec.min_series_length()} "
@@ -346,12 +347,13 @@ def log_likelihood(
     exog: ExogenousMatrix | None = None,
 ) -> float:
     """Conditional Gaussian log-likelihood over the full working sample."""
-    check_conforms(spec, params)
-    _validate_exog(spec, series, exog)
-    w, U = _working_series(spec, series, exog)
-    eps = _innovations(spec, params, w, U)
+    return _gaussian_log_likelihood(residuals(spec, params, series, exog).values, params.sigma2)
+
+
+def _gaussian_log_likelihood(eps: np.ndarray, sigma2: float) -> float:
+    """Log-density of independent ``N(0, sigma2)`` innovations ``eps``."""
     m = eps.shape[0]
-    return float(-0.5 * m * math.log(2.0 * math.pi * params.sigma2) - np.dot(eps, eps) / (2.0 * params.sigma2))
+    return float(-0.5 * m * math.log(2.0 * math.pi * sigma2) - np.dot(eps, eps) / (2.0 * sigma2))
 
 
 # The normal equations lose about log10(cond(Z Z')) of beta's sixteen digits;
@@ -476,12 +478,7 @@ def simulate(
     else:
         deterministic = det_input
     w = (stochastic + deterministic)[burn:]
-
-    if k:
-        values = integrate_array(w, np.zeros(k), diff_poly)
-    else:
-        values = w
-    return HourlySeries(start, values, units)
+    return HourlySeries(start, integrate_array(w, np.zeros(k), diff_poly), units)
 
 
 @dataclass(frozen=True)
@@ -555,20 +552,14 @@ def forecast_origins(
     if exog is not None and (exog.start != series.start or len(exog) < len(series)):
         raise AlignmentError("regressors must start with the series and cover it")
 
-    diff_poly = difference_polynomial(spec.diff)
-    k = diff_poly.degree
-    w = apply_array(diff_poly, series.values)
+    w, U = _working_series(spec, series, exog)
     m = w.shape[0]
-    U = None
-    if exog is not None:
-        U = np.column_stack([apply_array(diff_poly, col.values) for col in exog.columns])
     base = _innovations(spec, params, w, None if U is None else U[:m], backcast=0.0)
-    ar = ar_polynomial(spec, params)
-    ma = ma_polynomial(spec, params)
-    k_ar = ar.degree
-    unit_backcast = np.convolve(ar.dense(), np.concatenate([np.ones(k_ar), np.zeros(m)]))[k_ar : k_ar + m]
-    response = lfilter([1.0], ma.dense(), unit_backcast)
+    ar = _lag_array(params.phi, params.Phi, spec.diff.S)
+    ma = _lag_array(params.theta, params.Theta, spec.diff.S)
+    response = lfilter([1.0], ma, _ar_side(spec, params, np.zeros(m), backcast=1.0))
 
+    k = spec.diff.order
     ends = origins - k
     # centring keeps the running sum's rounding at the scale of the spread
     centre = w.mean()
@@ -582,8 +573,8 @@ def forecast_origins(
         det = det + np.where(known, regression, np.nan)
 
     w_fut = np.empty_like(det)
-    ar_lags = [(lag, coeff) for lag, coeff in ar.coefficients.items() if lag > 0]
-    ma_lags = [(lag, coeff) for lag, coeff in ma.coefficients.items() if lag > 0]
+    ar_lags = [(lag, ar[lag]) for lag in np.flatnonzero(ar[1:]) + 1]
+    ma_lags = [(lag, ma[lag]) for lag in np.flatnonzero(ma[1:]) + 1]
     for s in range(horizon):
         acc = det[:, s].copy()
         for lag, coeff in ar_lags:
@@ -594,22 +585,12 @@ def forecast_origins(
                 acc += coeff * (base[j] + backcast * response[j])
         w_fut[:, s] = acc
 
-    if k:
-        levels = np.empty((origins.shape[0], k + horizon))
-        levels[:, :k] = series.values[origins[:, None] - k + np.arange(k)]
-        diff_lags = [(lag, coeff) for lag, coeff in diff_poly.coefficients.items() if lag > 0]
-        for s in range(horizon):
-            acc = w_fut[:, s].copy()
-            for lag, coeff in diff_lags:
-                acc -= coeff * levels[:, k + s - lag]
-            levels[:, k + s] = acc
-        mean = levels[:, k:]
-    else:
-        mean = w_fut
+    diff_poly = difference_polynomial(spec.diff)
+    mean = integrate_array(w_fut, series.values[origins[:, None] - k + np.arange(k)], diff_poly)
 
     impulse = np.zeros(horizon)
     impulse[0] = 1.0
-    psi = lfilter(ma.dense(), multiply(ar, diff_poly).dense(), impulse)
+    psi = lfilter(ma, np.convolve(ar, diff_poly.dense()), impulse)
     return OriginForecasts(mean, psi, base, response, backcast, ends)
 
 

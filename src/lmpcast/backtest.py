@@ -25,7 +25,6 @@ import numpy as np
 from .arima import (
     ExogenousMatrix,
     ModelSpec,
-    OriginForecasts,
     ParameterVector,
     forecast_origins,
 )
@@ -35,15 +34,15 @@ from .errors import (
     AllTermsExcluded,
     MismatchedWindows,
 )
-from .estimation import Diagnostics, FitOptions, FittedModel, assemble_fit, fit
-from .garch import GarchParams, GarchSpec, attach_garch, forecast_variance_origins
+from .estimation import Diagnostics, FitOptions, FittedModel, _innovation_variances, assemble_fit, fit
+from .garch import GarchParams, GarchSpec, attach_garch
 from .series import (
     HOUR,
     UNITS_PRICE,
     ClipBounds,
     HourlySeries,
     LogOffset,
-    clip_prices,
+    clip_and_log,
     concat,
     delta_lmp,
     format_hour,
@@ -134,11 +133,7 @@ def transform_target(config: PipelineConfig, dataset: MarketDataset) -> HourlySe
         target = delta_lmp(dataset.dalmp, dataset.rtlmp)
     else:
         target = dataset.rtlmp
-    if config.clip is not None:
-        target = clip_prices(target, config.clip)
-    if config.log_offset is not None:
-        target = log_transform(target, config.log_offset)
-    return target
+    return clip_and_log(target, config.clip, config.log_offset)
 
 
 def exog_window(config: PipelineConfig, dalmp_window: HourlySeries) -> ExogenousMatrix | None:
@@ -246,22 +241,6 @@ def model_forecasts(
     )
     variance = paths.variance(_innovation_variances(fitted, paths, horizon))
     return ModelForecasts(history.start, origins, paths.mean, variance)
-
-
-def _innovation_variances(fitted: FittedModel, paths: OriginForecasts, horizon: int):
-    """Per-step innovation variances: sigma2, or each origin's GARCH forecast."""
-    if fitted.garch is None:
-        return fitted.params.sigma2
-    _, gparams = fitted.garch
-    # innovations relative to the longest history's, so the shifts stay small
-    return forecast_variance_origins(
-        gparams,
-        paths.innovations(-1),
-        paths.response[: paths.ends[-1]],
-        paths.backcast - paths.backcast[-1],
-        paths.ends,
-        horizon,
-    )
 
 
 def pipeline_forecast(

@@ -28,7 +28,7 @@ from .backtest import exog_window, transform_target
 from .dataio import export_plot_data, load_lmp_csv, synth_market, write_lmp_csv, _open_out
 from .errors import LmpcastError, SchemaError
 from .estimation import grid_select
-from .series import ClipBounds, LogOffset, clip_prices, delta_lmp, format_hour, log_transform, parse_hour
+from .series import clip_and_log, delta_lmp, format_hour, parse_hour
 
 log = logging.getLogger("lmpcast")
 
@@ -149,11 +149,7 @@ def cmd_acf(args: argparse.Namespace, config: dict[str, Any]) -> int:
     else:
         series = getattr(dataset, args.series)
     if not args.raw:
-        if config["clip"] is not None:
-            bounds = ClipBounds(ub=float(config["clip"]["ub"]), lb=float(config["clip"]["lb"]))
-            series = clip_prices(series, bounds)
-        if config["log_offset"] is not None:
-            series = log_transform(series, LogOffset(float(config["log_offset"])))
+        series = clip_and_log(series, *cfg.build_transforms(config))
     export_plot_data("acf_pacf", args.out, series=series, max_lag=args.max_lag)
     print(f"wrote lags 0..{args.max_lag} to {args.out}")
     return 0

@@ -29,6 +29,7 @@ __all__ = [
     "effective_config_json",
     "build_model_spec",
     "build_pipeline",
+    "build_transforms",
     "build_fit_options",
     "build_synth_config",
     "split_dataset",
@@ -200,10 +201,7 @@ def build_pipeline(config: Mapping[str, Any]) -> PipelineConfig:
         raise SchemaError("config key 'pipeline' is required")
     if kind not in MODEL_KINDS + DEGENERATE_KINDS:
         raise SchemaError(f"unknown pipeline kind {kind!r}")
-    clip = None
-    if config["clip"] is not None:
-        clip = ClipBounds(ub=float(config["clip"]["ub"]), lb=float(config["clip"]["lb"]))
-    offset = None if config["log_offset"] is None else LogOffset(float(config["log_offset"]))
+    clip, offset = build_transforms(config)
     garch = None
     if config["garch"] is not None:
         garch = GarchSpec(p=int(config["garch"]["p"]), q=int(config["garch"]["q"]))
@@ -217,6 +215,15 @@ def build_pipeline(config: Mapping[str, Any]) -> PipelineConfig:
         garch=garch,
         lognormal_correction=bool(config["lognormal_correction"]),
     )
+
+
+def build_transforms(config: Mapping[str, Any]) -> tuple[ClipBounds | None, LogOffset | None]:
+    """The configured spike clip and log offset, each None when not set."""
+    clip = None
+    if config["clip"] is not None:
+        clip = ClipBounds(ub=float(config["clip"]["ub"]), lb=float(config["clip"]["lb"]))
+    offset = None if config["log_offset"] is None else LogOffset(float(config["log_offset"]))
+    return clip, offset
 
 
 def build_fit_options(config: Mapping[str, Any]) -> FitOptions:
@@ -322,33 +329,39 @@ def fitted_to_artifact(config: Mapping[str, Any], fitted: FittedModel) -> str:
 def artifact_to_parts(
     text: str,
 ) -> tuple[dict[str, Any], ParameterVector, tuple[GarchSpec, GarchParams] | None, Diagnostics]:
-    """Parse a fitted-model artifact back into its config and estimates."""
+    """Parse a fitted-model artifact back into its config and estimates.
+
+    A missing key raises :class:`SchemaError` naming it.
+    """
     payload = json.loads(text)
-    config = merge_config(payload["config"])
-    model = payload["model"]
-    raw = model["params"]
-    params = ParameterVector(
-        phi=tuple(raw["phi"]),
-        Phi=tuple(raw["Phi"]),
-        theta=tuple(raw["theta"]),
-        Theta=tuple(raw["Theta"]),
-        mu=float(raw["mu"]),
-        gamma=tuple(raw["gamma"]),
-        sigma2=float(raw["sigma2"]),
-    )
-    garch = None
-    if model["garch"] is not None:
-        g = model["garch"]
-        garch = (
-            GarchSpec(p=int(g["p"]), q=int(g["q"])),
-            GarchParams(alpha0=float(g["alpha0"]), alpha=tuple(g["alpha"]), beta=tuple(g["beta"])),
+    try:
+        config = merge_config(payload["config"])
+        model = payload["model"]
+        raw = model["params"]
+        params = ParameterVector(
+            phi=tuple(raw["phi"]),
+            Phi=tuple(raw["Phi"]),
+            theta=tuple(raw["theta"]),
+            Theta=tuple(raw["Theta"]),
+            mu=float(raw["mu"]),
+            gamma=tuple(raw["gamma"]),
+            sigma2=float(raw["sigma2"]),
         )
-    diag = model["diagnostics"]
-    diagnostics = Diagnostics(
-        converged=bool(diag["converged"]),
-        iterations=int(diag["iterations"]),
-        boundary_flags=tuple(diag["boundary_flags"]),
-        # artifacts written before the count existed read back as 0
-        evaluations=int(diag.get("evaluations", 0)),
-    )
+        garch = None
+        if model["garch"] is not None:
+            g = model["garch"]
+            garch = (
+                GarchSpec(p=int(g["p"]), q=int(g["q"])),
+                GarchParams(alpha0=float(g["alpha0"]), alpha=tuple(g["alpha"]), beta=tuple(g["beta"])),
+            )
+        diag = model["diagnostics"]
+        diagnostics = Diagnostics(
+            converged=bool(diag["converged"]),
+            iterations=int(diag["iterations"]),
+            boundary_flags=tuple(diag["boundary_flags"]),
+            # artifacts written before the count existed read back as 0
+            evaluations=int(diag.get("evaluations", 0)),
+        )
+    except KeyError as exc:
+        raise SchemaError(f"model artifact lacks key {exc.args[0]!r}") from None
     return config, params, garch, diagnostics

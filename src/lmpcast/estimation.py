@@ -24,20 +24,21 @@ from scipy.optimize import minimize
 from .arima import (
     ExogenousMatrix,
     ModelSpec,
+    OriginForecasts,
     ParameterVector,
     _end_of_history_paths,
+    _gaussian_log_likelihood,
     _validate_exog,
     _working_series,
     ar_polynomial,
-    log_likelihood,
     ma_polynomial,
     profiled_log_likelihood,
     residuals,
 )
 from .errors import EstimationFailed, LmpcastError, SeriesTooShort
-from .garch import GarchParams, GarchSpec, _forecast_variance, _variance_recursion
+from .garch import GarchParams, GarchSpec, _check_orders, _variance_recursion, forecast_variance_origins
 from .lagpoly import is_stable
-from .series import HourlySeries
+from .series import HourlySeries, _autocovariances
 
 __all__ = [
     "FitOptions",
@@ -168,12 +169,6 @@ def _unpack(spec: ModelSpec, vec: np.ndarray) -> _Shape:
 # ---------------------------------------------------------------------------
 # starting values
 
-def _autocovariance(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    xc = x - x.mean()
-    n = x.shape[0]
-    return np.array([np.dot(xc[: n - h], xc[h:]) / n for h in lags])
-
-
 def _yule_walker(x: np.ndarray, order: int, spacing: int = 1) -> np.ndarray:
     """AR starting coefficients from the sample autocovariances.
 
@@ -185,7 +180,7 @@ def _yule_walker(x: np.ndarray, order: int, spacing: int = 1) -> np.ndarray:
     if x.shape[0] <= order * spacing:
         return np.zeros(order)
     lags = np.arange(order + 1) * spacing
-    g = _autocovariance(x, lags)
+    g = _autocovariances(x, lags)
     if g[0] <= 0.0:
         return np.zeros(order)
     try:
@@ -261,8 +256,8 @@ def fit(
     at every point (:func:`lmpcast.arima.profiled_log_likelihood`). A spec
     without AR/MA terms is fitted in closed form alone. ``start`` (say, the
     fit at the previous origin of a rolling backtest) replaces the
-    moment-based first start. The stored log-likelihood is recomputed
-    through :func:`lmpcast.arima.log_likelihood` on the returned parameters.
+    moment-based first start. The stored log-likelihood is that of the
+    returned parameters, from the residuals :func:`assemble_fit` filters.
     """
     _validate_exog(spec, series, exog)
     w, U = _working_series(spec, series, exog)
@@ -306,10 +301,12 @@ def assemble_fit(
     diagnostics: Diagnostics,
     garch: tuple[GarchSpec, GarchParams] | None = None,
 ) -> FittedModel:
-    """A :class:`FittedModel` at given parameters, with its residuals,
-    log-likelihood and BIC computed on ``series``."""
-    loglik = log_likelihood(spec, params, series, exog)
+    """A :class:`FittedModel` at given parameters, with its residuals and,
+    from them, its log-likelihood and BIC computed on ``series``."""
+    if garch is not None:
+        _check_orders(*garch)
     resid = residuals(spec, params, series, exog)
+    loglik = _gaussian_log_likelihood(resid.values, params.sigma2)
     n_eff = len(resid)
     return FittedModel(
         spec=spec,
@@ -473,8 +470,21 @@ def model_forecast(
     variances in the impulse-response sum come from its variance forecast.
     """
     paths = _end_of_history_paths(fitted.spec, fitted.params, history, exog_history, exog_future, horizon)
+    return paths.result(history, _innovation_variances(fitted, paths, horizon))
+
+
+def _innovation_variances(fitted: FittedModel, paths: OriginForecasts, horizon: int) -> float | np.ndarray:
+    """Per-step innovation variances of ``paths``' forecasts: ``sigma2``, or,
+    with a GARCH layer, each origin's variance forecast from its own residuals."""
     if fitted.garch is None:
-        return paths.result(history, fitted.params.sigma2)
+        return fitted.params.sigma2
     _, gparams = fitted.garch
-    # the residuals are the innovations of the pass that forecast the mean
-    return paths.result(history, _forecast_variance(gparams, paths.innovations(0), horizon))
+    # innovations relative to the longest history's, so the shifts stay small
+    return forecast_variance_origins(
+        gparams,
+        paths.innovations(-1),
+        paths.response[: paths.ends[-1]],
+        paths.backcast - paths.backcast[-1],
+        paths.ends,
+        horizon,
+    )

@@ -162,12 +162,9 @@ def forecast_variance(params: GarchParams, residuals: HourlySeries, horizon: int
     ``sigma2_{t+h} = alpha0 + persistence * sigma2_{t+h-1}`` for h >= 2,
     converging geometrically to the unconditional variance.
     """
-    return _forecast_variance(params, residuals.values, horizon)
-
-
-def _forecast_variance(params: GarchParams, values: np.ndarray, horizon: int) -> np.ndarray:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    values = residuals.values
     v0 = float(np.var(values))
     alpha = np.asarray(params.alpha)
     beta = np.asarray(params.beta)

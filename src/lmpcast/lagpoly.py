@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .errors import InsufficientPresample, SeriesTooShort
 from .series import HOUR, HourlySeries
@@ -193,18 +194,23 @@ def integrate(
 
 
 def integrate_array(diff: np.ndarray, presample: np.ndarray, poly: LagPolynomial) -> np.ndarray:
-    """Recursive inversion: ``y_t = diff_t - sum_{h>=1} coeff(h) * y_{t-h}``."""
-    k = poly.degree
-    m = diff.shape[0]
-    ext = np.empty(k + m)
-    ext[:k] = presample
-    lags = [(lag, coeff) for lag, coeff in poly.coefficients.items() if lag > 0]
-    for t in range(m):
-        acc = diff[t]
-        for lag, coeff in lags:
-            acc -= coeff * ext[k + t - lag]
-        ext[k + t] = acc
-    return ext[k:]
+    """Recursive inversion ``y_t = diff_t - sum_{h>=1} coeff(h) * y_{t-h}`` along the last axis.
+
+    The recursion is the filter ``lfilter([1], poly, diff)`` started from a
+    state that holds the ``degree`` presample values (oldest first, one row
+    per row of ``diff``) as its past outputs, which is ``lfiltic``'s
+    formula; so one call integrates every row of a 2-D ``diff``.
+    """
+    a = poly.dense()
+    k = a.shape[0] - 1
+    if k == 0:
+        return diff
+    # state j is -sum_{i>j} a_i y_{j-i}: the reversed presample times a Hankel matrix of a
+    hankel = np.zeros((k, k))
+    for j in range(k):
+        hankel[: k - j, j] = a[j + 1 :]
+    zi = -(presample[..., ::-1] @ hankel)
+    return lfilter([1.0], a, diff, axis=-1, zi=zi)[0]
 
 
 def is_stable(poly: LagPolynomial, tolerance: float = 1e-8) -> StabilityResult:

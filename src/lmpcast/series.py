@@ -36,6 +36,7 @@ __all__ = [
     "concat",
     "clip_prices",
     "log_transform",
+    "clip_and_log",
     "inverse_log_transform",
     "delta_lmp",
     "reconstruct_rtlmp",
@@ -225,6 +226,15 @@ def log_transform(series: HourlySeries, offset: LogOffset) -> HourlySeries:
     return series.with_values(np.log(shifted), units=UNITS_LOG)
 
 
+def clip_and_log(series: HourlySeries, clip: ClipBounds | None, offset: LogOffset | None) -> HourlySeries:
+    """:func:`clip_prices` then :func:`log_transform`, each skipped when not configured."""
+    if clip is not None:
+        series = clip_prices(series, clip)
+    if offset is not None:
+        series = log_transform(series, offset)
+    return series
+
+
 def inverse_log_transform(series: HourlySeries, offset: LogOffset) -> HourlySeries:
     """Elementwise ``exp(value) - c``, undoing :func:`log_transform`."""
     if series.units != UNITS_LOG:
@@ -259,14 +269,11 @@ def weekend_indicator(start: datetime, length: int) -> HourlySeries:
     return HourlySeries(start, values, UNITS_NONE)
 
 
-def _autocovariances(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased (divide-by-n) sample autocovariances for lags 0..max_lag."""
+def _autocovariances(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Biased (divide-by-n) sample autocovariances at each of ``lags``."""
     n = x.shape[0]
     centered = x - x.mean()
-    gamma = np.empty(max_lag + 1)
-    for k in range(max_lag + 1):
-        gamma[k] = np.dot(centered[k:], centered[: n - k]) / n
-    return gamma
+    return np.array([np.dot(centered[k:], centered[: n - k]) / n for k in lags])
 
 
 def sample_acf(series: HourlySeries, max_lag: int) -> list[float]:
@@ -278,7 +285,7 @@ def sample_acf(series: HourlySeries, max_lag: int) -> list[float]:
     n = len(series)
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must satisfy 0 <= max_lag < n, got {max_lag} with n={n}")
-    gamma = _autocovariances(series.values, max_lag)
+    gamma = _autocovariances(series.values, np.arange(max_lag + 1))
     if gamma[0] <= 0.0:
         raise DegenerateSeries("series has zero variance; autocorrelation undefined")
     return [float(g / gamma[0]) for g in gamma]

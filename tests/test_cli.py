@@ -5,6 +5,7 @@ and writes real files in a shared temporary workspace, mirroring how the
 stateless subcommands hand artifacts to each other.
 """
 
+import copy
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -112,6 +113,44 @@ class TestRuntimeErrors:
         rc = main(["compare", "--config", ws.config, "report.json"])
         assert rc == 1
         assert "NAME=REPORT.json" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def garch_artifact(ws):
+    """A fitted ARMA(1,2)+GARCH(1,1) model artifact, parsed."""
+    config = write_config(ws.root, "garch.json", garch={"p": 1, "q": 1})
+    model = ws.root / "garch_model.json"
+    assert main(["fit", "--config", config, "--data", ws.data, "--out", str(model)]) == 0
+    return json.loads(model.read_text(encoding="utf-8"))
+
+
+class TestMismatchedArtifacts:
+    def forecast(self, ws, tmp_path, artifact):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(artifact), encoding="utf-8")
+        return main(
+            ["forecast", "--config", ws.config, "--model", str(model),
+             "--data", ws.data, "--out", str(tmp_path / "forecast.csv")]
+        )
+
+    def test_garch_orders_disagreeing_with_coefficients_exit_one(self, ws, tmp_path, capsys, garch_artifact):
+        artifact = copy.deepcopy(garch_artifact)
+        garch = artifact["model"]["garch"]
+        assert (garch["p"], len(garch["alpha"])) == (1, 1)
+        garch["alpha"] = [garch["alpha"][0] / 2] * 2  # a GARCH(2,1) under a GARCH(1,1) header
+        assert self.forecast(ws, tmp_path, artifact) == 1
+        err = capsys.readouterr().err
+        assert "error: params have orders (2, 1), spec requires (1, 1)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "forecast.csv").exists()
+
+    def test_missing_parameter_key_exits_one(self, ws, tmp_path, capsys, garch_artifact):
+        artifact = copy.deepcopy(garch_artifact)
+        del artifact["model"]["params"]["Theta"]
+        assert self.forecast(ws, tmp_path, artifact) == 1
+        err = capsys.readouterr().err
+        assert "error: model artifact lacks key 'Theta'" in err
+        assert "Traceback" not in err
 
 
 class TestSynth:

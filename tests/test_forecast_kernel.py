@@ -2,9 +2,11 @@
 
 ``per_origin_forecast`` is the forecast the backtest used to make at every
 origin: transform the whole history, difference and filter it, recurse the
-working equation with a per-sample loop, integrate back to levels, invert
+working equation and integrate back to levels with per-sample loops, invert
 the log and reconstruct. The kernel must agree with it to 1e-9 at every
 origin and step; only the rounding of the per-origin backcast mean differs.
+Its integration loop, ``integrate_loop``, is also the reference for the
+filter that integrates levels in the kernel.
 """
 
 import tracemalloc
@@ -50,6 +52,21 @@ def market(length, seed):
     return synth_market(config)
 
 
+def integrate_loop(diff, presample, poly):
+    """Per-sample inversion ``y_t = diff_t - sum_{h>=1} coeff(h) * y_{t-h}`` of one row."""
+    k = poly.degree
+    m = diff.shape[0]
+    ext = np.empty(k + m)
+    ext[:k] = presample
+    lags = [(lag, coeff) for lag, coeff in poly.coefficients.items() if lag > 0]
+    for t in range(m):
+        acc = diff[t]
+        for lag, coeff in lags:
+            acc -= coeff * ext[k + t - lag]
+        ext[k + t] = acc
+    return ext[k:]
+
+
 def per_origin_forecast(config, fitted, history, dalmp_future, horizon):
     """One origin's price forecasts and variances, re-deriving the whole history."""
     spec, params = fitted.spec, fitted.params
@@ -84,7 +101,7 @@ def per_origin_forecast(config, fitted, history, dalmp_future, horizon):
                 acc += coeff * eps[m + s - lag]
         w_ext[t] = acc
     w_fut = w_ext[k_ar + m :]
-    mean = integrate_array(w_fut, modeled.values[-k:], diff_poly) if k else w_fut
+    mean = integrate_loop(w_fut, modeled.values[-k:], diff_poly) if k else w_fut
 
     impulse = np.zeros(horizon)
     impulse[0] = 1.0
@@ -131,6 +148,33 @@ def kernel_backtest(config, fitted, data, n_train, horizon):
         prices, _ = pipeline_forecast(config, fitted, data.window(0, n), future, steps, shared)
         out[origin, :steps] = prices.values
     return out
+
+
+@pytest.mark.parametrize(
+    "diff, exact",
+    [
+        (DifferenceSpec(d=1), True),
+        (DifferenceSpec(d=2), False),
+        (DifferenceSpec(D=1, S=24), True),
+        (DifferenceSpec(d=1, D=1, S=24), False),
+    ],
+)
+def test_filter_integration_matches_loop(diff, exact):
+    # one lag: the filter adds the same two terms as the loop, so the result
+    # is bit-equal; more lags sum in another order, which rounds differently
+    # at the scale of the levels, not of each (possibly near-zero) result
+    poly = difference_polynomial(diff)
+    rng = np.random.default_rng(11)
+    steps = rng.normal(size=(6, 80))
+    presample = 50.0 + rng.normal(size=(6, poly.degree)).cumsum(axis=1)
+    want = np.array([integrate_loop(row, past, poly) for row, past in zip(steps, presample)])
+    scale = np.abs(want).max()
+    for got, ref in ((integrate_array(steps, presample, poly), want),
+                     (integrate_array(steps[2], presample[2], poly), want[2])):
+        if exact:
+            assert np.array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale)
 
 
 CLIP = ClipBounds(ub=22.0, lb=-4.0)
