@@ -17,13 +17,13 @@ values are backcast with the working-series sample mean, presample
 innovations are set to zero, and the sum runs over the full differenced
 sample. The innovations are linear in ``mu`` and ``gamma``, so for a given
 AR/MA shape the likelihood is maximized over them (and ``sigma2``) in
-closed form (:func:`profiled_log_likelihood`). All recursions are linear
-filters. The finite-impulse-response steps (the AR side of the innovation filter and of its unit-backcast
-response, the forecast-variance sums) run as ``np.convolve``, which is what
-``scipy.signal.lfilter`` computes for a unit denominator; the recursive
-ones run through ``lfilter``. The likelihood and the forecast kernel build
-their lag arrays straight from the factor tuples, so one evaluation builds
-no :class:`LagPolynomial`.
+closed form (:func:`profiled_log_likelihood`). Every recursion is a linear
+filter on dense lag arrays built from the factor tuples; the sparse
+:func:`ar_polynomial`/:func:`ma_polynomial` are the public reference. The
+AR side runs as ``np.convolve`` (``lfilter`` with a unit denominator), the
+MA inverse through ``lfilter``. Forecasts are one level-scale filter by the
+AR times the differencing operator, continued from each origin's last
+levels and forced by what its last innovations add (``past_terms``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
+from scipy.signal import lfilter
 
 from .errors import (
     AlignmentError,
@@ -49,6 +49,7 @@ from .lagpoly import (
     integrate_array,
     is_stable,
     multiply,
+    past_terms,
 )
 from .series import HOUR, HourlySeries
 
@@ -195,12 +196,12 @@ def check_conforms(spec: ModelSpec, params: ParameterVector) -> None:
             raise ValueError(f"{name} has {got} coefficients, spec requires {want}")
     if not spec.constant and params.mu != 0.0:
         raise ValueError("mu must be 0 when the spec has no constant term")
-    ar = ar_polynomial(spec, params)
+    ar = _lag_array(params.phi, params.Phi, spec.diff.S)
     if not is_stable(ar).stable:
-        raise UnstableParameters(f"AR polynomial is not stationary: {ar.coefficients}")
-    ma = ma_polynomial(spec, params)
+        raise UnstableParameters(f"AR polynomial is not stationary: {ar.tolist()}")
+    ma = _lag_array(params.theta, params.Theta, spec.diff.S)
     if not is_stable(ma).stable:
-        raise UnstableParameters(f"MA polynomial is not invertible: {ma.coefficients}")
+        raise UnstableParameters(f"MA polynomial is not invertible: {ma.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -444,8 +445,8 @@ def simulate(
         raise ValueError("n must be >= 1")
     diff_poly = difference_polynomial(spec.diff)
     k = diff_poly.degree
-    ar = ar_polynomial(spec, params).dense()
-    ma = ma_polynomial(spec, params).dense()
+    ar = _lag_array(params.phi, params.Phi, spec.diff.S)
+    ma = _lag_array(params.theta, params.Theta, spec.diff.S)
     burn = burn_in(spec)
 
     det_input = np.full(burn + n, params.mu)
@@ -468,17 +469,11 @@ def simulate(
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, math.sqrt(params.sigma2), burn + n)
     stochastic = lfilter(ma, ar, eps)
-    k_ar = ar.shape[0] - 1
-    if k_ar:
-        # start the deterministic filter at its steady state so the process
-        # mean is right from the first kept sample even near unit roots
-        steady = det_input[0] / ar.sum()
-        zi = lfiltic([1.0], ar, np.full(k_ar, steady))
-        deterministic, _ = lfilter([1.0], ar, det_input, zi=zi)
-    else:
-        deterministic = det_input
-    w = (stochastic + deterministic)[burn:]
-    return HourlySeries(start, integrate_array(w, np.zeros(k), diff_poly), units)
+    # start the deterministic filter at its steady state so the process
+    # mean is right from the first kept sample even near unit roots
+    steady = np.full(ar.shape[0] - 1, det_input[0] / ar.sum())
+    w = (stochastic + integrate_array(det_input, steady, ar))[burn:]
+    return HourlySeries(start, integrate_array(w, np.zeros(k), diff_poly.dense()), units)
 
 
 @dataclass(frozen=True)
@@ -510,8 +505,7 @@ class OriginForecasts:
         values shaped like ``mean``.
         """
         s2 = np.broadcast_to(np.asarray(innovation_variances, dtype=np.float64), self.mean.shape)
-        weights = self.psi**2
-        return np.array([np.convolve(weights, row)[: row.shape[0]] for row in s2])
+        return lfilter(self.psi**2, [1.0], s2, axis=-1)
 
     def result(self, history: HourlySeries, innovation_variances: float | np.ndarray) -> ForecastResult:
         """The first origin's forecasts, which start at the end of ``history``."""
@@ -533,8 +527,8 @@ def forecast_origins(
     forecast from that prefix would, and forecasts the ``horizon`` hours
     after it. ``exog`` starts with the series and may run past its end into
     the known future; steps whose regressors it does not cover come out
-    NaN. The series is differenced and filtered once for all origins; only
-    the horizon steps and the lags are looped over.
+    NaN. The series is differenced and filtered once for all origins, and
+    one filter on the level scale runs every origin's forecast steps.
     """
     check_conforms(spec, params)
     if horizon < 1:
@@ -555,12 +549,10 @@ def forecast_origins(
     w, U = _working_series(spec, series, exog)
     m = w.shape[0]
     base = _innovations(spec, params, w, None if U is None else U[:m], backcast=0.0)
-    ar = _lag_array(params.phi, params.Phi, spec.diff.S)
     ma = _lag_array(params.theta, params.Theta, spec.diff.S)
     response = lfilter([1.0], ma, _ar_side(spec, params, np.zeros(m), backcast=1.0))
 
-    k = spec.diff.order
-    ends = origins - k
+    ends = origins - spec.diff.order
     # centring keeps the running sum's rounding at the scale of the spread
     centre = w.mean()
     backcast = centre + np.cumsum(w - centre)[ends - 1] / ends
@@ -572,25 +564,18 @@ def forecast_origins(
         regression = U[np.minimum(rows, U.shape[0] - 1)] @ np.asarray(params.gamma)
         det = det + np.where(known, regression, np.nan)
 
-    w_fut = np.empty_like(det)
-    ar_lags = [(lag, ar[lag]) for lag in np.flatnonzero(ar[1:]) + 1]
-    ma_lags = [(lag, ma[lag]) for lag in np.flatnonzero(ma[1:]) + 1]
-    for s in range(horizon):
-        acc = det[:, s].copy()
-        for lag, coeff in ar_lags:
-            acc -= coeff * (w_fut[:, s - lag] if lag <= s else w[ends + s - lag])
-        for lag, coeff in ma_lags:
-            if lag > s:  # future innovations are zero
-                j = ends + s - lag
-                acc += coeff * (base[j] + backcast * response[j])
-        w_fut[:, s] = acc
-
-    diff_poly = difference_polynomial(spec.diff)
-    mean = integrate_array(w_fut, series.values[origins[:, None] - k + np.arange(k)], diff_poly)
+    # the innovations known at each origin enter its first steps; future ones are zero
+    j = ends[:, None] - np.arange(ma.shape[0] - 1, 0, -1)
+    forcing = det + past_terms(ma, base[j] + backcast[:, None] * response[j], horizon)
+    # phi(B) PHI(B^S) (1 - B)^d (1 - B^S)^D on levels, continued from each origin's last levels
+    ar = _lag_array(params.phi, params.Phi, spec.diff.S)
+    levels = np.convolve(ar, difference_polynomial(spec.diff).dense())
+    past = series.values[origins[:, None] - np.arange(levels.shape[0] - 1, 0, -1)]
+    mean = integrate_array(forcing, past, levels)
 
     impulse = np.zeros(horizon)
     impulse[0] = 1.0
-    psi = lfilter(ma, np.convolve(ar, diff_poly.dense()), impulse)
+    psi = lfilter(ma, levels, impulse)
     return OriginForecasts(mean, psi, base, response, backcast, ends)
 
 

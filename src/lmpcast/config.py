@@ -10,7 +10,7 @@ from its output alone.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 from .arima import ModelSpec, ParameterVector
 from .backtest import DEGENERATE_KINDS, MODEL_KINDS, PipelineConfig, exog_count
@@ -102,7 +102,19 @@ PRESETS: dict[str, dict[str, Any]] = {
     },
 }
 
-_PARAM_KEYS = ("phi", "Phi", "theta", "Theta", "mu", "gamma", "sigma2")
+
+def _numbers(value: Any) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("expected a list of numbers")
+    return tuple(map(float, value))
+
+
+# the fields of a parameter block, a GARCH block and a diagnostics block, each with its reader
+_PARAM_FIELDS = {**dict.fromkeys(("phi", "Phi", "theta", "Theta"), _numbers), "mu": float, "gamma": _numbers,
+                 "sigma2": float}
+_GARCH_FIELDS = {"p": int, "q": int, "alpha0": float, "alpha": _numbers, "beta": _numbers}
+_DIAGNOSTIC_FIELDS = {"converged": bool, "iterations": int, "boundary_flags": tuple, "evaluations": int}
+_PARAM_KEYS = tuple(_PARAM_FIELDS)
 
 _SCHEMA: dict[str, Any] = {
     "pipeline": None,
@@ -236,17 +248,27 @@ def build_fit_options(config: Mapping[str, Any]) -> FitOptions:
     )
 
 
-def _build_params(block: Mapping[str, Any]) -> ParameterVector:
-    params = block["params"]
-    return ParameterVector(
-        phi=tuple(params.get("phi", ())),
-        Phi=tuple(params.get("Phi", ())),
-        theta=tuple(params.get("theta", ())),
-        Theta=tuple(params.get("Theta", ())),
-        mu=float(params.get("mu", 0.0)),
-        gamma=tuple(params.get("gamma", ())),
-        sigma2=float(params.get("sigma2", 1.0)),
-    )
+def _read_fields(block: Any, path: str, fields: Mapping[str, Any], optional: Collection[str] = ()) -> dict:
+    """The keys of ``fields`` in ``block`` by their readers; a missing key not in
+    ``optional`` is a ``KeyError``, a rejected value a :class:`SchemaError` naming it."""
+    if not isinstance(block, Mapping):
+        raise SchemaError(f"{path.rstrip('.')} must be an object, got {block!r}")
+    out = {}
+    for key, read in fields.items():
+        if key in block or key not in optional:
+            try:
+                out[key] = read(block[key])
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}{key} = {block[key]!r}: {exc}") from None
+    return out
+
+
+def _parse_params(block: Any, path: str, optional: Collection[str] = ()) -> ParameterVector:
+    """A parameter block; keys in ``optional`` may be missing and take their defaults."""
+    try:
+        return ParameterVector(**_read_fields(block, path, _PARAM_FIELDS, optional))
+    except ValueError as exc:
+        raise SchemaError(f"{path.rstrip('.')}: {exc}") from None
 
 
 def build_synth_config(config: Mapping[str, Any]) -> SynthConfig:
@@ -255,9 +277,9 @@ def build_synth_config(config: Mapping[str, Any]) -> SynthConfig:
     dalmp = synth["dalmp"]
     return SynthConfig(
         delta_spec=_build_order(delta["order"], delta["constant"], 0),
-        delta_params=_build_params(delta),
+        delta_params=_parse_params(delta["params"], "synth.delta.params.", _PARAM_FIELDS),
         dalmp_spec=_build_order(dalmp["order"], dalmp["constant"], 0),
-        dalmp_params=_build_params(dalmp),
+        dalmp_params=_parse_params(dalmp["params"], "synth.dalmp.params.", _PARAM_FIELDS),
         length=int(synth["length"]),
         weekend_effect=float(synth["weekend_effect"]),
         spike_rate=float(synth["spike_rate"]),
@@ -331,37 +353,24 @@ def artifact_to_parts(
 ) -> tuple[dict[str, Any], ParameterVector, tuple[GarchSpec, GarchParams] | None, Diagnostics]:
     """Parse a fitted-model artifact back into its config and estimates.
 
-    A missing key raises :class:`SchemaError` naming it.
+    A missing key, or a value of the wrong type, raises :class:`SchemaError`
+    naming it.
     """
     payload = json.loads(text)
     try:
         config = merge_config(payload["config"])
         model = payload["model"]
-        raw = model["params"]
-        params = ParameterVector(
-            phi=tuple(raw["phi"]),
-            Phi=tuple(raw["Phi"]),
-            theta=tuple(raw["theta"]),
-            Theta=tuple(raw["Theta"]),
-            mu=float(raw["mu"]),
-            gamma=tuple(raw["gamma"]),
-            sigma2=float(raw["sigma2"]),
-        )
+        params = _parse_params(model["params"], "model.params.")
         garch = None
         if model["garch"] is not None:
-            g = model["garch"]
+            g = _read_fields(model["garch"], "model.garch.", _GARCH_FIELDS)
             garch = (
-                GarchSpec(p=int(g["p"]), q=int(g["q"])),
-                GarchParams(alpha0=float(g["alpha0"]), alpha=tuple(g["alpha"]), beta=tuple(g["beta"])),
+                GarchSpec(p=g["p"], q=g["q"]),
+                GarchParams(alpha0=g["alpha0"], alpha=g["alpha"], beta=g["beta"]),
             )
-        diag = model["diagnostics"]
-        diagnostics = Diagnostics(
-            converged=bool(diag["converged"]),
-            iterations=int(diag["iterations"]),
-            boundary_flags=tuple(diag["boundary_flags"]),
-            # artifacts written before the count existed read back as 0
-            evaluations=int(diag.get("evaluations", 0)),
-        )
+        # artifacts written before the evaluation count existed read it back as 0
+        diag = _read_fields(model["diagnostics"], "model.diagnostics.", _DIAGNOSTIC_FIELDS, ("evaluations",))
+        diagnostics = Diagnostics(**diag)
     except KeyError as exc:
         raise SchemaError(f"model artifact lacks key {exc.args[0]!r}") from None
     return config, params, garch, diagnostics

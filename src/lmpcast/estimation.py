@@ -28,10 +28,9 @@ from .arima import (
     ParameterVector,
     _end_of_history_paths,
     _gaussian_log_likelihood,
+    _lag_array,
     _validate_exog,
     _working_series,
-    ar_polynomial,
-    ma_polynomial,
     profiled_log_likelihood,
     residuals,
 )
@@ -280,9 +279,11 @@ def fit(
     params = ParameterVector(*shape, mu=beta[0] if c else 0.0, gamma=beta[c:], sigma2=sigma2)
 
     flags = []
-    if is_stable(ar_polynomial(spec, params)).margin < _BOUNDARY_MARGIN and spec.p + spec.P:
+    ar = _lag_array(params.phi, params.Phi, spec.diff.S)
+    ma = _lag_array(params.theta, params.Theta, spec.diff.S)
+    if is_stable(ar).margin < _BOUNDARY_MARGIN and spec.p + spec.P:
         flags.append("ar_near_boundary")
-    if is_stable(ma_polynomial(spec, params)).margin < _BOUNDARY_MARGIN and spec.q + spec.Q:
+    if is_stable(ma).margin < _BOUNDARY_MARGIN and spec.q + spec.Q:
         flags.append("ma_near_boundary")
     diagnostics = Diagnostics(
         converged=converged,

@@ -17,9 +17,10 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
+from scipy.signal import lfilter
 
 from .errors import InvalidParameters
+from .lagpoly import integrate_array, past_terms
 from .series import HourlySeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,17 +110,10 @@ def _variance_recursion(
 ) -> np.ndarray:
     """Run the recursion with presample eps2 and sigma2 both equal to v0."""
     p = alpha.shape[0]
-    q = beta.shape[0]
     m = eps2.shape[0]
     eps2_ext = np.concatenate([np.full(p, v0), eps2])
     arch = np.convolve(np.concatenate([[0.0], alpha]), eps2_ext)[p : p + m]
-    x = alpha0 + arch
-    if q == 0:
-        return x
-    a = np.concatenate([[1.0], -beta])
-    zi = lfiltic([1.0], a, np.full(q, v0))
-    sig2, _ = lfilter([1.0], a, x, zi=zi)
-    return sig2
+    return integrate_array(alpha0 + arch, np.full(beta.shape[0], v0), np.concatenate([[1.0], -beta]))
 
 
 def conditional_variances(params: GarchParams, residuals: HourlySeries) -> HourlySeries:
@@ -240,23 +234,17 @@ def _expected_path(
     """Run the recursion forward in expectation, one row per origin.
 
     ``eps2`` and ``past`` hold each origin's last p squared residuals and q
-    variances, oldest first; a future squared residual enters as its
-    expected value, the variance forecast for that step.
+    variances, oldest first. A future squared residual enters as its
+    expected value, the variance forecast for that step, so the path is the
+    filter ``1 / (1 - sum_k (alpha_k + beta_k) B^k)`` of ``alpha0`` plus
+    what the known values add to the first steps.
     """
-    p, q = alpha.shape[0], beta.shape[0]
-    eps2 = [eps2[:, i] for i in range(p)]
-    past = [past[:, j] for j in range(q)]
-    out = np.empty((eps2[0].shape[0], horizon))
-    for h in range(horizon):
-        step = np.full(out.shape[0], alpha0)
-        for i in range(1, p + 1):
-            step = step + alpha[i - 1] * eps2[-i]
-        for j in range(1, q + 1):
-            step = step + beta[j - 1] * past[-j]
-        out[:, h] = step
-        eps2.append(step)
-        past.append(step)
-    return out
+    k = max(alpha.shape[0], beta.shape[0])
+    persistence = np.pad(alpha, (0, k - alpha.shape[0])) + np.pad(beta, (0, k - beta.shape[0]))
+    a = np.concatenate([[1.0], -persistence])
+    known = past_terms(np.concatenate([[0.0], alpha]), eps2, horizon)
+    known += past_terms(np.concatenate([[0.0], beta]), past, horizon)
+    return lfilter([1.0], a, alpha0 + known, axis=-1)
 
 
 def attach_garch(

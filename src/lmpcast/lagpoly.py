@@ -8,6 +8,10 @@ factor used here.
 
 Sign convention: a factor with autoregressive coefficient ``phi`` is stored
 as ``{0: 1, 1: -phi}`` - the minus signs live in the stored coefficients.
+
+The sparse map is the public algebra; computation reads dense ascending-lag
+arrays, and every recursion that continues from past values runs as one
+``lfilter`` call started by :func:`past_terms`.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
+from scipy.linalg import hankel
 from scipy.signal import lfilter
 
 from .errors import InsufficientPresample, SeriesTooShort
@@ -30,6 +35,7 @@ __all__ = [
     "difference_polynomial",
     "integrate",
     "is_stable",
+    "past_terms",
 ]
 
 @dataclass(frozen=True)
@@ -189,41 +195,45 @@ def integrate(
             f"presample must end immediately before the differenced window: "
             f"presample end {presample.end.isoformat()} vs start {differenced.start.isoformat()}"
         )
-    out = integrate_array(differenced.values, presample.values[-k:], poly)
+    out = integrate_array(differenced.values, presample.values[-k:], poly.dense())
     return HourlySeries(differenced.start, out, presample.units)
 
 
-def integrate_array(diff: np.ndarray, presample: np.ndarray, poly: LagPolynomial) -> np.ndarray:
-    """Recursive inversion ``y_t = diff_t - sum_{h>=1} coeff(h) * y_{t-h}`` along the last axis.
+def past_terms(coeffs: np.ndarray, past: np.ndarray, n: int | None = None) -> np.ndarray:
+    """``sum_{i>j} c_i x_{j-i}`` for ``j = 0..n-1``: what each row's past adds to a filter's first outputs.
 
-    The recursion is the filter ``lfilter([1], poly, diff)`` started from a
-    state that holds the ``degree`` presample values (oldest first, one row
-    per row of ``diff``) as its past outputs, which is ``lfiltic``'s
-    formula; so one call integrates every row of a 2-D ``diff``.
+    ``coeffs`` is a dense ascending-lag array of degree ``k`` (lag 0 unread);
+    ``past`` holds each row's last ``k`` values, oldest first. ``n`` defaults
+    to ``k``; later outputs are zero. Negated, it is ``lfiltic``'s state.
     """
-    a = poly.dense()
-    k = a.shape[0] - 1
-    if k == 0:
+    k = coeffs.shape[0] - 1
+    return past[..., ::-1] @ hankel(coeffs[1:], np.zeros(k if n is None else n))
+
+
+def integrate_array(diff: np.ndarray, presample: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Recursive inversion ``y_t = diff_t - sum_{h>=1} a_h * y_{t-h}`` along the last axis.
+
+    ``a`` is the dense ascending-lag operator; the filter ``lfilter([1], a,
+    diff)`` starts from the ``len(a) - 1`` presample values (oldest first,
+    one row per row of ``diff``) as its past outputs.
+    """
+    if a.shape[0] == 1:
         return diff
-    # state j is -sum_{i>j} a_i y_{j-i}: the reversed presample times a Hankel matrix of a
-    hankel = np.zeros((k, k))
-    for j in range(k):
-        hankel[: k - j, j] = a[j + 1 :]
-    zi = -(presample[..., ::-1] @ hankel)
-    return lfilter([1.0], a, diff, axis=-1, zi=zi)[0]
+    return lfilter([1.0], a, diff, axis=-1, zi=-past_terms(a, presample))[0]
 
 
-def is_stable(poly: LagPolynomial, tolerance: float = 1e-8) -> StabilityResult:
+def is_stable(poly: LagPolynomial | np.ndarray, tolerance: float = 1e-8) -> StabilityResult:
     """Whether all roots (in B) lie strictly outside the unit circle.
 
+    ``poly`` is a :class:`LagPolynomial` or its dense ascending-lag array.
     Roots come from the companion-matrix eigenvalues of the reversed
     coefficient vector (numpy.roots). The margin is ``min |root| - 1``; the
     polynomial counts as stable when the margin exceeds ``tolerance``.
     A degree-0 polynomial has no roots and is stable with infinite margin.
     """
-    if poly.degree == 0:
-        return StabilityResult(True, float("inf"))
-    dense = poly.dense()
+    dense = poly.dense() if isinstance(poly, LagPolynomial) else poly
     roots = np.roots(dense[::-1])
+    if not roots.size:
+        return StabilityResult(True, float("inf"))
     margin = float(np.min(np.abs(roots)) - 1.0)
     return StabilityResult(margin > tolerance, margin)

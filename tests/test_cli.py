@@ -152,12 +152,40 @@ class TestMismatchedArtifacts:
         assert "error: model artifact lacks key 'Theta'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("params", "phi", 0.5),
+            ("params", "sigma2", [1.0]),
+            ("garch", "alpha", 0.1),
+            ("garch", "beta", "x"),
+            ("diagnostics", "boundary_flags", 5),
+        ],
+    )
+    def test_wrongly_typed_field_exits_one_naming_it(self, ws, tmp_path, capsys, garch_artifact, block, key, value):
+        artifact = copy.deepcopy(garch_artifact)
+        artifact["model"][block][key] = value
+        assert self.forecast(ws, tmp_path, artifact) == 1
+        err = capsys.readouterr().err
+        assert f"error: model.{block}.{key} = {value!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "forecast.csv").exists()
+
 
 class TestSynth:
     def test_byte_identical_across_runs(self, ws, tmp_path):
         again = tmp_path / "again.csv"
         assert main(["synth", "--config", ws.config, "--out", str(again)]) == 0
         assert again.read_bytes() == (ws.root / "data.csv").read_bytes()
+
+    def test_wrongly_typed_recipe_parameter_exits_one_naming_it(self, tmp_path, capsys):
+        synth = {"length": 480, "delta": {"params": {"phi": 0.5}}}
+        config = write_config(tmp_path, "bad.json", synth=synth)
+        assert main(["synth", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "error: synth.delta.params.phi = 0.5" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_seed_flag_changes_output(self, ws, tmp_path):
         other = tmp_path / "other.csv"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lmpcast import garch
 from lmpcast.arima import DEFAULT_ORIGIN, ModelSpec, ParameterVector
 from lmpcast.errors import InvalidParameters
 from lmpcast.estimation import FitOptions, fit
@@ -37,6 +38,25 @@ def brute_variances(params, eps):
             v += b * (sig2[t - j] if t - j >= 0 else v0)
         sig2.append(v)
     return np.array(sig2)
+
+
+def expected_path_loop(alpha0, alpha, beta, eps2, past, horizon):
+    """Step-by-step forecast recursion, one row per origin: a future squared
+    residual enters as its expected value, the variance forecast for its step."""
+    p, q = len(alpha), len(beta)
+    eps2 = [eps2[:, i] for i in range(p)]
+    past = [past[:, j] for j in range(q)]
+    out = np.empty((eps2[0].shape[0], horizon))
+    for h in range(horizon):
+        step = np.full(out.shape[0], alpha0)
+        for i in range(1, p + 1):
+            step = step + alpha[i - 1] * eps2[-i]
+        for j in range(1, q + 1):
+            step = step + beta[j - 1] * past[-j]
+        out[:, h] = step
+        eps2.append(step)
+        past.append(step)
+    return out
 
 
 def simulate_garch(alpha0, alpha1, beta1, n, seed):
@@ -236,6 +256,28 @@ def test_many_origins_match_one_forecast_per_origin(params):
     for row, shift, end in zip(got, shifts, ends):
         want = forecast_variance(params, series(e[:end] + shift * r[:end]), 6)
         np.testing.assert_allclose(row, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GarchParams(alpha0=0.1, alpha=(0.2,), beta=(0.7,)),
+        GarchParams(alpha0=0.2, alpha=(0.1, 0.5)),
+        GarchParams(alpha0=0.1, alpha=(0.1, 0.3), beta=(0.2, 0.1)),
+        GarchParams(alpha0=0.05, alpha=(0.15,), beta=(0.3, 0.2, 0.25)),
+    ],
+    ids=["garch11", "garch20", "garch22", "garch13"],
+)
+def test_filtered_path_matches_step_by_step_recursion(params):
+    # the horizon runs shorter and longer than the lags, over 300 origins
+    rng = np.random.default_rng(66)
+    alpha, beta = np.asarray(params.alpha), np.asarray(params.beta)
+    eps2 = rng.chisquare(1, size=(300, alpha.shape[0])) * rng.uniform(0.1, 10.0, size=(300, 1))
+    past = rng.uniform(0.1, 10.0, size=(300, beta.shape[0]))
+    for horizon in (1, 2, 24):
+        want = expected_path_loop(params.alpha0, alpha, beta, eps2, past, horizon)
+        got = garch._expected_path(params.alpha0, alpha, beta, eps2, past, horizon)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestAttachGarch:

@@ -1,9 +1,10 @@
-"""Backshift polynomial algebra: multiply, difference, integrate, stability."""
+"""Backshift polynomial algebra: multiply, difference, integrate, past terms, stability."""
 
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from scipy.signal import lfiltic
 
 from lmpcast.errors import InsufficientPresample, SeriesTooShort
 from lmpcast.lagpoly import (
@@ -14,6 +15,7 @@ from lmpcast.lagpoly import (
     integrate,
     is_stable,
     multiply,
+    past_terms,
 )
 from lmpcast.series import HOUR, UNITS_NONE, HourlySeries
 
@@ -176,6 +178,65 @@ class TestIntegrate:
             integrate(series([1.0], start=START + 5 * HOUR), series([10.0]), spec)
 
 
+def seasonal_array():
+    """``(1 - 0.5 B)(1 - 0.3 B^24)``: zero coefficients between lags 1 and 24."""
+    a = np.zeros(26)
+    a[[0, 1, 24, 25]] = [1.0, -0.5, -0.3, 0.15]
+    return a
+
+
+class TestPastTerms:
+    """``past_terms`` against ``lfiltic``'s state, which holds the same sums."""
+
+    @staticmethod
+    def reference(coeffs, past):
+        # lfiltic(b, [1], [], x) holds sum_{i>j} b_i x_{j-i}, newest x first
+        return lfiltic(coeffs, [1.0], [], x=past[::-1])
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [np.array([1.0, -0.7]), np.array([0.0, 0.2, 0.1, 0.05]), seasonal_array()],
+        ids=["first", "garch", "seasonal"],
+    )
+    def test_rows_match_lfiltic(self, coeffs):
+        rng = np.random.default_rng(14)
+        k = coeffs.shape[0] - 1
+        past = rng.normal(size=(5, k))
+        got = past_terms(coeffs, past)
+        assert got.shape == (5, k)
+        for row, values in zip(got, past):
+            np.testing.assert_allclose(row, self.reference(coeffs, values), rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(past_terms(coeffs, past[3]), self.reference(coeffs, past[3]),
+                                   rtol=1e-14, atol=1e-15)
+
+    def test_degree_zero_has_no_terms(self):
+        assert past_terms(np.array([1.0]), np.empty(0)).shape == (0,)
+        assert self.reference(np.array([1.0]), np.empty(0)).shape == (0,)
+        np.testing.assert_array_equal(past_terms(np.array([1.0]), np.empty((3, 0)), 4), np.zeros((3, 4)))
+
+    def test_outputs_past_the_degree_are_zero(self):
+        coeffs = seasonal_array()
+        past = np.random.default_rng(15).normal(size=(2, 25))
+        long = past_terms(coeffs, past, 30)
+        np.testing.assert_array_equal(long[:, 25:], 0.0)
+        # the product's summation order may change with its shape
+        np.testing.assert_allclose(long[:, :25], past_terms(coeffs, past), rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(past_terms(coeffs, past, 3), long[:, :3], rtol=1e-14, atol=1e-15)
+
+    def test_continues_a_filter(self):
+        # a filter run over past + future equals one run over future with the
+        # past's terms added to its first inputs
+        from scipy.signal import lfilter
+
+        a = seasonal_array()
+        x = np.random.default_rng(16).normal(size=100)
+        whole = lfilter([1.0], a, x)
+        k = a.shape[0] - 1
+        forced = x[60:].copy()
+        forced[:k] -= past_terms(a, whole[60 - k : 60])
+        np.testing.assert_allclose(lfilter([1.0], a, forced), whole[60:], rtol=1e-12, atol=1e-12)
+
+
 class TestStability:
     def test_single_root(self):
         result = is_stable(LagPolynomial.from_factor_coefficients([0.5]))
@@ -198,6 +259,13 @@ class TestStability:
 
     def test_degree_zero(self):
         assert is_stable(LagPolynomial.identity()).stable
+        assert is_stable(np.array([1.0])) == (True, float("inf"))
+
+    def test_dense_array_matches_polynomial(self):
+        poly = LagPolynomial({0: 1.0, 1: -0.5, 24: -0.3, 25: 0.15})
+        np.testing.assert_array_equal(poly.dense(), seasonal_array())
+        assert is_stable(seasonal_array()) == is_stable(poly)
+        assert is_stable(seasonal_array()).stable
 
     def test_stable_ar_simulation_bounded(self):
         # impulse response of a stable AR stays bounded over 10^5 steps

@@ -1,4 +1,5 @@
-"""Source checks: no private module-level definition in ``src/lmpcast`` is dead code."""
+"""Source checks on ``src/lmpcast``: no private module-level definition is dead
+code, and the recursions compute on dense lag arrays."""
 
 import ast
 from pathlib import Path
@@ -32,10 +33,55 @@ def unreferenced_private_definitions(modules):
     return [f"{module}:{name}" for module, name in defined if name not in referenced]
 
 
+# the sparse-map algebra that builds LagPolynomial products; computation
+# reads dense arrays (``arima._lag_array``, ``LagPolynomial.dense``)
+SPARSE_BUILDERS = {"ar_polynomial", "ma_polynomial", "multiply"}
+
+
+def sparse_algebra_uses(modules):
+    """``module:line name`` of each reference to ``lfiltic`` and of each call
+    to a sparse builder outside ``lagpoly.py`` and the builders' own bodies."""
+    found = []
+    for module, tree in modules:
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None) or getattr(sub, "name", None)
+                if name == "lfiltic":
+                    found.append(f"{module}:{sub.lineno} lfiltic")
+                if not isinstance(sub, ast.Call) or module == "lagpoly.py" or own in SPARSE_BUILDERS:
+                    continue
+                callee = getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+                if callee in SPARSE_BUILDERS:
+                    found.append(f"{module}:{sub.lineno} {callee}")
+    return found
+
+
+def parse_src():
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
+
+
 def test_every_private_definition_is_used():
-    modules = [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
+    modules = parse_src()
     assert len(modules) > 5
     assert unreferenced_private_definitions(modules) == []
+
+
+def test_recursions_use_dense_arrays_and_no_lfiltic():
+    assert sparse_algebra_uses(parse_src()) == []
+
+
+def test_check_sees_sparse_algebra_and_lfiltic():
+    lagpoly = ast.parse("def multiply(a, b):\n    pass\n\ndef square(a):\n    return multiply(a, a)\n")
+    arima = ast.parse(
+        "from scipy.signal import lfiltic\n"
+        "from . import lagpoly\n\n"
+        "def ar_polynomial(spec, params):\n    return multiply(spec, params)\n\n"
+        "def check(spec, params):\n    return lagpoly.multiply(ar_polynomial(spec, params), spec)\n"
+    )
+    assert sparse_algebra_uses([("lagpoly.py", lagpoly), ("arima.py", arima)]) == [
+        "arima.py:1 lfiltic", "arima.py:8 multiply", "arima.py:8 ar_polynomial",
+    ]
 
 
 def test_check_sees_a_dead_definition():
