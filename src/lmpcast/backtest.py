@@ -17,7 +17,7 @@ realized price carry an undefined ratio and are excluded (counted).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime
 
 import numpy as np
@@ -32,7 +32,12 @@ from .dataio import MarketDataset
 from .errors import (
     AlignmentError,
     AllTermsExcluded,
+    Field,
     MismatchedWindows,
+    integer,
+    list_of,
+    numbers,
+    read_fields,
 )
 from .estimation import Diagnostics, FitOptions, FittedModel, _innovation_variances, assemble_fit, fit
 from .garch import GarchParams, GarchSpec, attach_garch
@@ -368,35 +373,27 @@ class BacktestReport:
             raise ValueError("n_origins must be >= 1")
 
     def to_json(self) -> str:
-        payload = {
-            "horizon": self.horizon,
-            "n_origins": self.n_origins,
-            "improvement_pct": list(self.improvement),
-            "mae": list(self.mae),
-            "excluded": list(self.excluded),
-            "test_start": format_hour(self.test_start),
-            "test_length": self.test_length,
-            "fits": self.fits,
-            "unconverged": self.unconverged,
-            "evaluations": self.evaluations,
-        }
+        payload = {**asdict(self), "test_start": format_hour(self.test_start)}
+        payload["improvement_pct"] = payload.pop("improvement")
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "BacktestReport":
-        payload = json.loads(text)
-        return cls(
-            horizon=int(payload["horizon"]),
-            n_origins=int(payload["n_origins"]),
-            improvement=tuple(float(v) for v in payload["improvement_pct"]),
-            mae=tuple(float(v) for v in payload["mae"]),
-            excluded=tuple(int(v) for v in payload["excluded"]),
-            test_start=parse_hour(payload["test_start"]),
-            test_length=int(payload["test_length"]),
-            fits=int(payload.get("fits", 0)),
-            unconverged=int(payload.get("unconverged", 0)),
-            evaluations=int(payload.get("evaluations", 0)),
-        )
+        fields = read_fields(json.loads(text), "", _REPORT_FIELDS)
+        return cls(improvement=fields.pop("improvement_pct"), **fields)
+
+
+# a report without the fit counts (written before they existed) reads them as 0
+_REPORT_FIELDS = {
+    "horizon": integer,
+    "n_origins": integer,
+    "improvement_pct": numbers,
+    "mae": numbers,
+    "excluded": list_of(integer),
+    "test_start": parse_hour,
+    "test_length": integer,
+    **dict.fromkeys(("fits", "unconverged", "evaluations"), Field(integer, optional=True)),
+}
 
 
 def rolling_backtest(

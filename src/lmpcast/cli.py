@@ -4,7 +4,9 @@ Each subcommand is a stateless batch step: inputs are CSV files, config
 JSON, or artifacts written by an earlier step; outputs are files plus a
 human-readable summary on stdout. Logs (including the effective merged
 config for every run) go to stderr. Exit codes: 0 on success, 1 for data
-or estimation errors, 2 for usage errors.
+or estimation errors and for a JSON input (config, model artifact or
+report) with a missing key, a wrongly typed value or a non-integral order,
+2 for usage errors including an unknown config key.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def _load_effective_config(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _load_data(args: argparse.Namespace, config: dict[str, Any]):
-    return load_lmp_csv(args.data, gap_policy=config["gap_policy"])
+    return load_lmp_csv(args.data, gap_policy=cfg.read(config, "gap_policy"))
 
 
 def _train_window(config: dict[str, Any], dataset):
@@ -128,11 +130,6 @@ def _train_window(config: dict[str, Any], dataset):
         return dataset
     train, _ = cfg.split_dataset(config, dataset)
     return train
-
-
-def _modeled_series(config: dict[str, Any], dataset):
-    pipeline = cfg.build_pipeline(config)
-    return transform_target(pipeline, dataset), exog_window(pipeline, dataset.dalmp)
 
 
 def cmd_synth(args: argparse.Namespace, config: dict[str, Any]) -> int:
@@ -158,17 +155,11 @@ def cmd_acf(args: argparse.Namespace, config: dict[str, Any]) -> int:
 def cmd_select(args: argparse.Namespace, config: dict[str, Any]) -> int:
     dataset = _load_data(args, config)
     train = _train_window(config, dataset)
-    series, exog = _modeled_series(config, train)
-    base = cfg.build_model_spec(config)
-    p_lo, p_hi = config["grid"]["p"]
-    q_lo, q_hi = config["grid"]["q"]
+    pipeline = cfg.build_pipeline(config)
+    series, exog = transform_target(pipeline, train), exog_window(pipeline, train.dalmp)
+    grid = cfg.read(config, "grid")
     chosen, table = grid_select(
-        series,
-        exog,
-        range(int(p_lo), int(p_hi) + 1),
-        range(int(q_lo), int(q_hi) + 1),
-        base,
-        cfg.build_fit_options(config),
+        series, exog, grid["p"], grid["q"], cfg.build_model_spec(config), cfg.build_fit_options(config)
     )
     print(table.render())
     print(f"selected: p={chosen.p}, q={chosen.q}")
@@ -208,11 +199,10 @@ def cmd_forecast(args: argparse.Namespace, config: dict[str, Any]) -> int:
     # the artifact's config defines the pipeline; CLI config supplies data handling
     pipeline = cfg.build_pipeline(stored_config)
     dataset = _load_data(args, config)
-    origin_text = args.origin or config["test_start"]
-    if origin_text is None:
+    origin = parse_hour(args.origin) if args.origin else cfg.read(config, "test_start")
+    if origin is None:
         raise SchemaError("forecast needs --origin or a config test_start")
-    origin = parse_hour(origin_text)
-    horizon = int(config["horizon"])
+    horizon = cfg.read(config, "horizon")
     # origin == end of file means "forecast past the data"; models that need
     # future day-ahead prices will reject it downstream
     split = len(dataset) if origin == dataset.end else dataset.dalmp.index_of(origin)
@@ -240,10 +230,10 @@ def cmd_backtest(args: argparse.Namespace, config: dict[str, Any]) -> int:
         pipeline,
         train,
         test,
-        horizon=int(config["horizon"]),
-        refit=config["refit"],
+        horizon=cfg.read(config, "horizon"),
+        refit=cfg.read(config, "refit"),
         options=cfg.build_fit_options(config),
-        epsilon=float(config["epsilon"]),
+        epsilon=cfg.read(config, "epsilon"),
     )
     with _open_out(args.out) as out:
         out.write(report.to_json())
@@ -285,10 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     log.info("effective config:\n%s", cfg.effective_config_json(config).rstrip())
     try:
         return args.func(args, config)
-    except (LmpcastError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LmpcastError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,21 +10,23 @@ from its output alone.
 from __future__ import annotations
 
 import json
-from typing import Any, Collection, Mapping
+from dataclasses import asdict
+from typing import Any, Mapping
 
 from .arima import ModelSpec, ParameterVector
 from .backtest import DEGENERATE_KINDS, MODEL_KINDS, PipelineConfig, exog_count
 from .dataio import MarketDataset, SynthConfig
-from .errors import SchemaError
+from .errors import Field, MissingKey, SchemaError, boolean, integer, list_of, number, numbers, read_fields, text
 from .estimation import Diagnostics, FitOptions, FittedModel
 from .garch import GarchParams, GarchSpec
 from .lagpoly import DifferenceSpec
-from .series import ClipBounds, HourlySeries, LogOffset, parse_hour
+from .series import ClipBounds, LogOffset, parse_hour
 
 __all__ = [
     "DEFAULTS",
     "PRESETS",
     "merge_config",
+    "read",
     "validate_config",
     "effective_config_json",
     "build_model_spec",
@@ -103,63 +105,71 @@ PRESETS: dict[str, dict[str, Any]] = {
 }
 
 
-def _numbers(value: Any) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError("expected a list of numbers")
-    return tuple(map(float, value))
+def _span(value: Any) -> range:
+    """A grid's inclusive ``[low, high]`` integer bounds, as the range they span."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError("expected [low, high]")
+    return range(integer(value[0]), integer(value[1]) + 1)
 
 
-# the fields of a parameter block, a GARCH block and a diagnostics block, each with its reader
-_PARAM_FIELDS = {**dict.fromkeys(("phi", "Phi", "theta", "Theta"), _numbers), "mu": float, "gamma": _numbers,
-                 "sigma2": float}
-_GARCH_FIELDS = {"p": int, "q": int, "alpha0": float, "alpha": _numbers, "beta": _numbers}
-_DIAGNOSTIC_FIELDS = {"converged": bool, "iterations": int, "boundary_flags": tuple, "evaluations": int}
-_PARAM_KEYS = tuple(_PARAM_FIELDS)
+# the field tables: each key of a JSON block mapped to the reader of its value
+_ORDER_FIELDS = dict.fromkeys(("p", "d", "q", "P", "D", "Q", "S"), integer)
+_PARAM_FIELDS = {**dict.fromkeys(("phi", "Phi", "theta", "Theta"), numbers), "mu": number, "gamma": numbers,
+                 "sigma2": number}
+# artifacts written before the evaluation count existed read it back as 0
+_DIAGNOSTIC_FIELDS = {"converged": boolean, "iterations": integer, "boundary_flags": list_of(text),
+                      "evaluations": Field(integer, optional=True)}
+# a synth recipe's parameters default to ParameterVector's
+_SERIES_FIELDS = {"order": _ORDER_FIELDS, "constant": boolean,
+                  "params": {key: Field(read, optional=True) for key, read in _PARAM_FIELDS.items()}}
 
 _SCHEMA: dict[str, Any] = {
-    "pipeline": None,
-    "clip": {"ub": None, "lb": None},
-    "log_offset": None,
-    "order": {"p": None, "d": None, "q": None, "P": None, "D": None, "Q": None, "S": None},
-    "constant": None,
-    "garch": {"p": None, "q": None},
-    "lognormal_correction": None,
-    "grid": {"p": None, "q": None},
-    "test_start": None,
-    "test_end": None,
-    "horizon": None,
-    "seed": None,
-    "gap_policy": None,
-    "epsilon": None,
-    "refit": None,
-    "fit": {"max_iterations": None, "tolerance": None, "restarts": None},
+    "pipeline": Field(text, nullable=True),
+    "clip": Field({"ub": number, "lb": number}, nullable=True),
+    "log_offset": Field(number, nullable=True),
+    "order": _ORDER_FIELDS,
+    "constant": boolean,
+    "garch": Field({"p": integer, "q": integer}, nullable=True),
+    "lognormal_correction": boolean,
+    "grid": {"p": _span, "q": _span},
+    "test_start": Field(parse_hour, nullable=True),
+    "test_end": Field(parse_hour, nullable=True),
+    "horizon": integer,
+    "seed": integer,
+    "gap_policy": text,
+    "epsilon": number,
+    "refit": text,
+    "fit": {"max_iterations": integer, "tolerance": number, "restarts": integer},
     "synth": {
-        "length": None,
-        "start": None,
-        "node": None,
-        "weekend_effect": None,
-        "spike_rate": None,
-        "spike_minimum": None,
-        "spike_scale": None,
-        "delta": {"order": "order", "constant": None, "params": dict.fromkeys(_PARAM_KEYS)},
-        "dalmp": {"order": "order", "constant": None, "params": dict.fromkeys(_PARAM_KEYS)},
+        "length": integer,
+        "start": parse_hour,
+        "node": text,
+        "weekend_effect": number,
+        "spike_rate": number,
+        "spike_minimum": number,
+        "spike_scale": number,
+        "delta": _SERIES_FIELDS,
+        "dalmp": _SERIES_FIELDS,
     },
 }
+_GARCH_FIELDS = {**_SCHEMA["garch"].read, "alpha0": number, "alpha": numbers, "beta": numbers}
+_MODEL_FIELDS = {"params": _PARAM_FIELDS, "garch": Field(_GARCH_FIELDS, nullable=True),
+                 "diagnostics": _DIAGNOSTIC_FIELDS}
 
 
-def _check_keys(value: Mapping[str, Any], schema: Mapping[str, Any], path: str) -> None:
+def _check_keys(value: Mapping[str, Any], fields: Mapping[str, Any], path: str) -> None:
     for key, sub in value.items():
-        if key not in schema:
+        if key not in fields:
             raise SchemaError(f"unknown config key {path}{key!r}")
-        subschema = schema[key]
-        if subschema == "order":
-            subschema = _SCHEMA["order"]
-        if isinstance(subschema, Mapping) and isinstance(sub, Mapping):
-            _check_keys(sub, subschema, f"{path}{key}.")
+        table = fields[key].read if isinstance(fields[key], Field) else fields[key]
+        if isinstance(table, Mapping) and isinstance(sub, Mapping):
+            _check_keys(sub, table, f"{path}{key}.")
 
 
 def validate_config(config: Mapping[str, Any]) -> None:
-    """Reject unknown keys at any nesting level."""
+    """Reject a config that is not an object or has an unknown key at any nesting level."""
+    if not isinstance(config, Mapping):
+        raise SchemaError(f"a config must be a JSON object, got {config!r}")
     _check_keys(config, _SCHEMA, "")
 
 
@@ -177,7 +187,7 @@ def merge_config(*layers: Mapping[str, Any] | None) -> dict[str, Any]:
 
     merged = json.loads(json.dumps(DEFAULTS))  # deep copy via round trip
     for layer in layers:
-        if layer:
+        if layer is not None:
             validate_config(layer)
             merged = deep(merged, layer)
     return merged
@@ -188,35 +198,30 @@ def effective_config_json(config: Mapping[str, Any]) -> str:
     return json.dumps(config, sort_keys=True, indent=2) + "\n"
 
 
-def _build_order(order: Mapping[str, Any], constant: bool, exog_count: int) -> ModelSpec:
-    return ModelSpec(
-        p=int(order["p"]),
-        q=int(order["q"]),
-        P=int(order["P"]),
-        Q=int(order["Q"]),
-        diff=DifferenceSpec(d=int(order["d"]), D=int(order["D"]), S=int(order["S"])),
-        exog_count=exog_count,
-        constant=bool(constant),
-    )
+def read(config: Mapping[str, Any], key: str) -> Any:
+    """The value of a run-config key, read by its reader in the schema."""
+    return read_fields(config, "", {key: _SCHEMA[key]})[key]
+
+
+def _build_order(order: dict[str, int], constant: bool, exog_count: int) -> ModelSpec:
+    """A model spec from a read ``order`` block (which it consumes)."""
+    diff = DifferenceSpec(order.pop("d"), order.pop("D"), order.pop("S"))
+    return ModelSpec(**order, diff=diff, exog_count=exog_count, constant=constant)
 
 
 def build_model_spec(config: Mapping[str, Any]) -> ModelSpec:
-    kind = config["pipeline"]
+    kind = read(config, "pipeline")
     if kind is None:
         raise SchemaError("config key 'pipeline' is required")
-    return _build_order(config["order"], config["constant"], exog_count(kind))
+    return _build_order(read(config, "order"), read(config, "constant"), exog_count(kind))
 
 
 def build_pipeline(config: Mapping[str, Any]) -> PipelineConfig:
-    kind = config["pipeline"]
-    if kind is None:
-        raise SchemaError("config key 'pipeline' is required")
+    kind = read(config, "pipeline")
     if kind not in MODEL_KINDS + DEGENERATE_KINDS:
-        raise SchemaError(f"unknown pipeline kind {kind!r}")
+        raise SchemaError(f"unknown pipeline kind {kind!r}" if kind else "config key 'pipeline' is required")
     clip, offset = build_transforms(config)
-    garch = None
-    if config["garch"] is not None:
-        garch = GarchSpec(p=int(config["garch"]["p"]), q=int(config["garch"]["q"]))
+    garch = read(config, "garch")
     if kind in DEGENERATE_KINDS:
         return PipelineConfig(kind=kind)
     return PipelineConfig(
@@ -224,85 +229,42 @@ def build_pipeline(config: Mapping[str, Any]) -> PipelineConfig:
         spec=build_model_spec(config),
         clip=clip,
         log_offset=offset,
-        garch=garch,
-        lognormal_correction=bool(config["lognormal_correction"]),
+        garch=None if garch is None else GarchSpec(**garch),
+        lognormal_correction=read(config, "lognormal_correction"),
     )
 
 
 def build_transforms(config: Mapping[str, Any]) -> tuple[ClipBounds | None, LogOffset | None]:
     """The configured spike clip and log offset, each None when not set."""
-    clip = None
-    if config["clip"] is not None:
-        clip = ClipBounds(ub=float(config["clip"]["ub"]), lb=float(config["clip"]["lb"]))
-    offset = None if config["log_offset"] is None else LogOffset(float(config["log_offset"]))
-    return clip, offset
+    clip, offset = read(config, "clip"), read(config, "log_offset")
+    return None if clip is None else ClipBounds(**clip), None if offset is None else LogOffset(offset)
 
 
 def build_fit_options(config: Mapping[str, Any]) -> FitOptions:
-    fit_block = config["fit"]
-    return FitOptions(
-        max_iterations=int(fit_block["max_iterations"]),
-        tolerance=float(fit_block["tolerance"]),
-        restarts=int(fit_block["restarts"]),
-        seed=int(config["seed"]),
-    )
-
-
-def _read_fields(block: Any, path: str, fields: Mapping[str, Any], optional: Collection[str] = ()) -> dict:
-    """The keys of ``fields`` in ``block`` by their readers; a missing key not in
-    ``optional`` is a ``KeyError``, a rejected value a :class:`SchemaError` naming it."""
-    if not isinstance(block, Mapping):
-        raise SchemaError(f"{path.rstrip('.')} must be an object, got {block!r}")
-    out = {}
-    for key, read in fields.items():
-        if key in block or key not in optional:
-            try:
-                out[key] = read(block[key])
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}{key} = {block[key]!r}: {exc}") from None
-    return out
-
-
-def _parse_params(block: Any, path: str, optional: Collection[str] = ()) -> ParameterVector:
-    """A parameter block; keys in ``optional`` may be missing and take their defaults."""
-    try:
-        return ParameterVector(**_read_fields(block, path, _PARAM_FIELDS, optional))
-    except ValueError as exc:
-        raise SchemaError(f"{path.rstrip('.')}: {exc}") from None
+    return FitOptions(**read(config, "fit"), seed=read(config, "seed"))
 
 
 def build_synth_config(config: Mapping[str, Any]) -> SynthConfig:
-    synth = config["synth"]
-    delta = synth["delta"]
-    dalmp = synth["dalmp"]
-    return SynthConfig(
-        delta_spec=_build_order(delta["order"], delta["constant"], 0),
-        delta_params=_parse_params(delta["params"], "synth.delta.params.", _PARAM_FIELDS),
-        dalmp_spec=_build_order(dalmp["order"], dalmp["constant"], 0),
-        dalmp_params=_parse_params(dalmp["params"], "synth.dalmp.params.", _PARAM_FIELDS),
-        length=int(synth["length"]),
-        weekend_effect=float(synth["weekend_effect"]),
-        spike_rate=float(synth["spike_rate"]),
-        spike_minimum=float(synth["spike_minimum"]),
-        spike_scale=float(synth["spike_scale"]),
-        start=parse_hour(synth["start"]),
-        seed=int(config["seed"]),
-        node=str(synth["node"]),
-    )
+    synth = read(config, "synth")
+    for name in ("delta", "dalmp"):
+        block = synth.pop(name)
+        synth[f"{name}_spec"] = _build_order(block["order"], block["constant"], 0)
+        synth[f"{name}_params"] = ParameterVector(**block["params"])
+    return SynthConfig(**synth, seed=read(config, "seed"))
 
 
 def split_dataset(config: Mapping[str, Any], dataset: MarketDataset) -> tuple[MarketDataset, MarketDataset]:
     """Cut the dataset into train/test at the configured boundary timestamps."""
-    if config["test_start"] is None:
+    test_start, test_end = read(config, "test_start"), read(config, "test_end")
+    if test_start is None:
         raise SchemaError("config key 'test_start' is required to split train/test")
-    test_start = parse_hour(config["test_start"])
     split = dataset.dalmp.index_of(test_start)
     if split == 0:
         raise SchemaError("test_start leaves an empty training window")
-    if config["test_end"] is None:
+    if test_end is None:
         test_len = len(dataset) - split
     else:
-        test_len = dataset.dalmp.index_of(parse_hour(config["test_end"])) - split
+        test_len = dataset.dalmp.index_of(test_end) - split
     if test_len < 1:
         raise SchemaError("test window is empty")
     return dataset.window(0, split), dataset.window(split, test_len)
@@ -313,39 +275,16 @@ def split_dataset(config: Mapping[str, Any], dataset: MarketDataset) -> tuple[Ma
 
 def fitted_to_artifact(config: Mapping[str, Any], fitted: FittedModel) -> str:
     """Serialize a fitted pipeline to JSON: effective config plus estimates."""
-    model: dict[str, Any] = {
-        "params": {
-            "phi": list(fitted.params.phi),
-            "Phi": list(fitted.params.Phi),
-            "theta": list(fitted.params.theta),
-            "Theta": list(fitted.params.Theta),
-            "mu": fitted.params.mu,
-            "gamma": list(fitted.params.gamma),
-            "sigma2": fitted.params.sigma2,
-        },
+    garch = None if fitted.garch is None else {**asdict(fitted.garch[0]), **asdict(fitted.garch[1])}
+    model = {
+        "params": asdict(fitted.params),
         "loglik": fitted.loglik,
         "bic": fitted.bic,
         "n_effective": fitted.n_effective,
-        "diagnostics": {
-            "converged": fitted.diagnostics.converged,
-            "iterations": fitted.diagnostics.iterations,
-            "evaluations": fitted.diagnostics.evaluations,
-            "boundary_flags": list(fitted.diagnostics.boundary_flags),
-        },
+        "diagnostics": asdict(fitted.diagnostics),
+        "garch": garch,
     }
-    if fitted.garch is not None:
-        gspec, gparams = fitted.garch
-        model["garch"] = {
-            "p": gspec.p,
-            "q": gspec.q,
-            "alpha0": gparams.alpha0,
-            "alpha": list(gparams.alpha),
-            "beta": list(gparams.beta),
-        }
-    else:
-        model["garch"] = None
-    payload = {"config": dict(config), "model": model}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps({"config": dict(config), "model": model}, sort_keys=True, indent=2) + "\n"
 
 
 def artifact_to_parts(
@@ -356,21 +295,12 @@ def artifact_to_parts(
     A missing key, or a value of the wrong type, raises :class:`SchemaError`
     naming it.
     """
-    payload = json.loads(text)
     try:
-        config = merge_config(payload["config"])
-        model = payload["model"]
-        params = _parse_params(model["params"], "model.params.")
-        garch = None
-        if model["garch"] is not None:
-            g = _read_fields(model["garch"], "model.garch.", _GARCH_FIELDS)
-            garch = (
-                GarchSpec(p=g["p"], q=g["q"]),
-                GarchParams(alpha0=g["alpha0"], alpha=g["alpha"], beta=g["beta"]),
-            )
-        # artifacts written before the evaluation count existed read it back as 0
-        diag = _read_fields(model["diagnostics"], "model.diagnostics.", _DIAGNOSTIC_FIELDS, ("evaluations",))
-        diagnostics = Diagnostics(**diag)
-    except KeyError as exc:
-        raise SchemaError(f"model artifact lacks key {exc.args[0]!r}") from None
-    return config, params, garch, diagnostics
+        parts = read_fields(json.loads(text), "", {"config": merge_config, "model": _MODEL_FIELDS})
+    except MissingKey as exc:
+        raise SchemaError(f"model artifact lacks key {exc.key!r}") from None
+    model = parts["model"]
+    garch = model["garch"]
+    if garch is not None:
+        garch = GarchSpec(garch.pop("p"), garch.pop("q")), GarchParams(**garch)
+    return parts["config"], ParameterVector(**model["params"]), garch, Diagnostics(**model["diagnostics"])

@@ -35,7 +35,8 @@ from .arima import (
     residuals,
 )
 from .errors import EstimationFailed, LmpcastError, SeriesTooShort
-from .garch import GarchParams, GarchSpec, _check_orders, _variance_recursion, forecast_variance_origins
+from .garch import (GarchParams, GarchSpec, _check_orders, _quasi_log_likelihood, _variance_recursion,
+                    forecast_variance_origins)
 from .lagpoly import is_stable
 from .series import HourlySeries, _autocovariances
 
@@ -435,14 +436,11 @@ def fit_garch(
     if v0 <= 0.0:
         raise EstimationFailed("residuals have zero variance")
     eps2 = values**2
-    m = values.shape[0]
     p, q = gspec.p, gspec.q
-    log_2pi = math.log(2.0 * math.pi)
 
     def objective(vec: np.ndarray) -> float:
         alpha0, alpha, beta = _garch_unpack(vec, p, q)
-        sig2 = _variance_recursion(alpha0, alpha, beta, eps2, v0)
-        val = 0.5 * (m * log_2pi + np.sum(np.log(sig2)) + np.sum(eps2 / sig2))
+        val = -_quasi_log_likelihood(eps2, _variance_recursion(alpha0, alpha, beta, eps2, v0))
         return val if math.isfinite(val) else 1e300
 
     arch_mass, garch_mass = 0.1, 0.8 if q else 0.0

@@ -131,19 +131,14 @@ def conditional_variances(params: GarchParams, residuals: HourlySeries) -> Hourl
     return HourlySeries(residuals.start, sig2, "variance")
 
 
+def _quasi_log_likelihood(eps2: np.ndarray, sig2: np.ndarray) -> float:
+    """Gaussian quasi-log-likelihood of squared residuals under their variance path."""
+    return float(-0.5 * (eps2.shape[0] * math.log(2.0 * math.pi) + np.sum(np.log(sig2)) + np.sum(eps2 / sig2)))
+
+
 def garch_log_likelihood(params: GarchParams, residuals: HourlySeries) -> float:
     """Gaussian quasi-log-likelihood of the residuals under the variance path."""
-    eps2 = residuals.values**2
-    sig2 = _variance_recursion(
-        params.alpha0,
-        np.asarray(params.alpha),
-        np.asarray(params.beta),
-        eps2,
-        float(np.var(residuals.values)),
-    )
-    return float(
-        -0.5 * (residuals.values.shape[0] * math.log(2.0 * math.pi) + np.sum(np.log(sig2)) + np.sum(eps2 / sig2))
-    )
+    return _quasi_log_likelihood(residuals.values**2, conditional_variances(params, residuals).values)
 
 
 def forecast_variance(params: GarchParams, residuals: HourlySeries, horizon: int) -> np.ndarray:

@@ -7,6 +7,7 @@ stateless subcommands hand artifacts to each other.
 
 import copy
 import json
+from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -160,6 +161,7 @@ class TestMismatchedArtifacts:
             ("garch", "alpha", 0.1),
             ("garch", "beta", "x"),
             ("diagnostics", "boundary_flags", 5),
+            ("diagnostics", "converged", "no"),
         ],
     )
     def test_wrongly_typed_field_exits_one_naming_it(self, ws, tmp_path, capsys, garch_artifact, block, key, value):
@@ -170,6 +172,84 @@ class TestMismatchedArtifacts:
         assert f"error: model.{block}.{key} = {value!r}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "forecast.csv").exists()
+
+
+    def test_artifact_that_is_not_an_object_exits_one(self, ws, tmp_path, capsys):
+        assert self.forecast(ws, tmp_path, [1]) == 1
+        err = capsys.readouterr().err
+        assert "error: JSON document must be an object, got [1]" in err
+        assert "Traceback" not in err
+
+
+class TestMalformedRunConfig:
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("fit", "clip", {"ub": 10.0}, "clip.lb is missing"),
+            ("fit", "garch", {"p": 1}, "garch.q is missing"),
+            ("fit", "clip", 5, "clip must be an object, got 5"),
+            ("fit", "test_start", 5, "test_start = 5: "),
+            ("select", "grid", {"p": [1], "q": [1, 2]}, "grid.p = [1]: expected [low, high]"),
+            ("fit", "order", {"p": "x"}, "order.p = 'x': expected an integer"),
+            ("fit", "order", {"p": 1.7}, "order.p = 1.7: expected an integer"),
+            ("fit", "order", {"p": True}, "order.p = True: expected an integer"),
+            ("fit", "constant", "false", "constant = 'false': expected true or false"),
+        ],
+        ids=["clip-without-lb", "garch-without-q", "clip-number", "test_start-number", "grid-one-bound",
+             "order-string", "order-fraction", "order-boolean", "constant-string"],
+    )
+    def test_malformed_value_exits_one_naming_its_key(self, ws, tmp_path, capsys, command, key, value, message):
+        config = write_config(tmp_path, "bad.json", **{key: value})
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--data", ws.data, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_integral_number_reads_as_an_order(self, ws, tmp_path):
+        config = write_config(tmp_path, "order.json", order={"p": 1.0, "q": 2})
+        assert main(["fit", "--config", config, "--data", ws.data, "--out", str(tmp_path / "m.json")]) == 0
+
+
+class TestMalformedReports:
+    @pytest.fixture
+    def report(self):
+        return json.loads(BacktestReport(
+            horizon=2, n_origins=4, improvement=(5.0, 3.0), mae=(1.0, 2.0), excluded=(0, 0),
+            test_start=datetime(2001, 1, 19, tzinfo=timezone.utc), test_length=4,
+        ).to_json())
+
+    def compare(self, tmp_path, payload):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return main(["compare", f"model={path}", "--out", str(tmp_path / "table.csv")])
+
+    def test_report_reads_back(self, tmp_path, report):
+        assert self.compare(tmp_path, report) == 0
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.pop("mae"), "mae is missing"),
+            (lambda r: r.update(improvement_pct=1.0), "improvement_pct = 1.0: expected a list"),
+            (lambda r: r.update(excluded=[0, 0.5]), "excluded = [0, 0.5]: expected an integer"),
+        ],
+        ids=["without-mae", "improvement-number", "excluded-fraction"],
+    )
+    def test_malformed_report_exits_one_naming_its_key(self, tmp_path, capsys, report, edit, message):
+        edit(report)
+        assert self.compare(tmp_path, report) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "table.csv").exists()
+
+    def test_report_that_is_not_an_object_exits_one(self, tmp_path, capsys):
+        assert self.compare(tmp_path, [1, 2]) == 1
+        err = capsys.readouterr().err
+        assert "error: JSON document must be an object, got [1, 2]" in err
+        assert "Traceback" not in err
 
 
 class TestSynth:

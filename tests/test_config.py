@@ -1,5 +1,7 @@
 """Tests for config merging, validation, builders, and the model artifact."""
 
+import copy
+import math
 from datetime import datetime, timezone
 
 import numpy as np
@@ -9,7 +11,7 @@ from lmpcast import config as cfg
 from lmpcast.arima import ModelSpec, ParameterVector
 from lmpcast.backtest import PipelineConfig, fit_pipeline
 from lmpcast.dataio import MarketDataset, synth_market
-from lmpcast.errors import SchemaError
+from lmpcast.errors import MissingKey, SchemaError, boolean, integer, number, read_fields
 from lmpcast.estimation import FitOptions
 from lmpcast.garch import GarchSpec
 from lmpcast.series import UNITS_PRICE, HourlySeries
@@ -43,6 +45,25 @@ class TestMergeAndValidate:
         with pytest.raises(SchemaError, match="synth.delta.params"):
             cfg.merge_config({"synth": {"delta": {"params": {"rho": [0.5]}}}})
 
+    def test_defaults_and_schema_share_one_key_tree(self):
+        # no default outside the schema, and every required schema key has a
+        # default its reader accepts (null only where the key is nullable)
+        for config in [cfg.DEFAULTS, *map(cfg.merge_config, cfg.PRESETS.values())]:
+            cfg.validate_config(config)
+            read_fields(config, "", cfg._SCHEMA)
+        extra = copy.deepcopy(cfg.DEFAULTS)
+        extra["synth"]["delta"]["rho"] = 1.0
+        with pytest.raises(SchemaError, match="synth.delta.'rho'"):
+            cfg.validate_config(extra)
+        lacking = copy.deepcopy(cfg.DEFAULTS)
+        del lacking["synth"]["dalmp"]["order"]["S"]
+        with pytest.raises(MissingKey, match="synth.dalmp.order.S is missing"):
+            read_fields(lacking, "", cfg._SCHEMA)
+
+    def test_config_that_is_not_an_object_rejected(self):
+        with pytest.raises(SchemaError, match="must be a JSON object"):
+            cfg.merge_config([1])
+
     def test_effective_json_is_canonical(self):
         a = cfg.effective_config_json(cfg.merge_config({"seed": 3}))
         b = cfg.effective_config_json(cfg.merge_config({"seed": 3}))
@@ -50,6 +71,24 @@ class TestMergeAndValidate:
         assert a.endswith("\n")
         # keys are sorted, so ordering in the input cannot leak through
         assert a.index('"clip"') < a.index('"pipeline"')
+
+
+class TestLeafReaders:
+    @pytest.mark.parametrize("value, expected", [(3, 3), (2.0, 2), (-1, -1)])
+    def test_integer_accepts_integral_numbers(self, value, expected):
+        assert integer(value) == expected and type(integer(value)) is int
+
+    @pytest.mark.parametrize("read, value", [
+        (integer, True), (integer, 1.7), (integer, "2"), (integer, math.inf), (integer, math.nan), (integer, None),
+        (number, False), (number, "1.5"), (number, [1.0]), (boolean, "false"), (boolean, 0), (boolean, None),
+    ])
+    def test_wrong_type_raises_type_error(self, read, value):
+        with pytest.raises(TypeError):
+            read(value)
+
+    def test_overflowing_number_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="epsilon = 1000"):
+            cfg.read(cfg.merge_config({"epsilon": 10**400}), "epsilon")
 
 
 class TestBuilders:

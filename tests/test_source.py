@@ -1,5 +1,6 @@
 """Source checks on ``src/lmpcast``: no private module-level definition is dead
-code, and the recursions compute on dense lag arrays."""
+code, the recursions compute on dense lag arrays, and JSON values are typed
+only by the field tables' leaf readers."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,26 @@ def sparse_algebra_uses(modules):
     return found
 
 
+# the leaf readers of the field tables in ``errors.py``: the one place a JSON
+# value is cast to a Python scalar
+LEAF_READERS = {"integer", "number", "boolean"}
+CASTS = {"int", "float", "bool"}
+
+
+def casts_outside_readers(modules):
+    """``module:line name`` of each call to ``int``, ``float`` or ``bool``
+    outside the leaf readers' bodies."""
+    found = []
+    for module, tree in modules:
+        for node in tree.body:
+            if getattr(node, "name", None) in LEAF_READERS:
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in CASTS:
+                    found.append(f"{module}:{sub.lineno} {sub.func.id}")
+    return found
+
+
 def parse_src():
     return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
 
@@ -88,3 +109,18 @@ def test_check_sees_a_dead_definition():
     used = ast.parse("def _helper():\n    pass\n\nclass _Shape:\n    pass\n\nvalue = _helper\n")
     other = ast.parse("from .used import _Shape\n\ndef _recursive(n):\n    return _recursive(n - 1)\n")
     assert unreferenced_private_definitions([("used.py", used), ("other.py", other)]) == ["other.py:_recursive"]
+
+
+def test_config_and_cli_values_are_typed_by_the_leaf_readers():
+    modules = [m for m in parse_src() if m[0] in ("config.py", "cli.py", "errors.py")]
+    assert len(modules) == 3
+    assert casts_outside_readers(modules) == []
+
+
+def test_check_sees_a_cast_outside_the_readers():
+    config = ast.parse(
+        "def integer(value):\n    return int(value)\n\n"
+        "def build(block):\n    return float(block['x']), integer(block['p'])\n\n"
+        "SEED = int('3')\n"
+    )
+    assert casts_outside_readers([("config.py", config)]) == ["config.py:5 float", "config.py:7 int"]
