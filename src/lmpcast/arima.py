@@ -231,10 +231,6 @@ class ExogenousMatrix:
     def r(self) -> int:
         return len(self.columns)
 
-    def as_array(self) -> np.ndarray:
-        """Values as an (n, r) array."""
-        return np.column_stack([col.values for col in self.columns])
-
 
 @dataclass(frozen=True)
 class ForecastResult:

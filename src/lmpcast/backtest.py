@@ -28,7 +28,7 @@ from .arima import (
     ParameterVector,
     forecast_origins,
 )
-from .dataio import MarketDataset
+from .dataio import MarketDataset, csv_table
 from .errors import (
     AlignmentError,
     AllTermsExcluded,
@@ -511,14 +511,10 @@ class ComparisonTable:
 
     def to_csv(self) -> str:
         """Long-format rows ``model,horizon,improvement_pct,mae,excluded``."""
-        lines = ["model,horizon,improvement_pct,mae,excluded"]
-        for name, report in self.entries:
-            for i in range(report.horizon):
-                lines.append(
-                    f"{name},{i + 1},{report.improvement[i]:.6f},"
-                    f"{report.mae[i]:.6f},{report.excluded[i]}"
-                )
-        return "\n".join(lines) + "\n"
+        rows = [(name, i + 1, report.improvement[i], report.mae[i], report.excluded[i])
+                for name, report in self.entries for i in range(report.horizon)]
+        header = ("model", "horizon", "improvement_pct", "mae", "excluded")
+        return csv_table(dict(zip(header, zip(*rows))), floats=("improvement_pct", "mae"))
 
 
 def compare_models(reports: list[tuple[str, BacktestReport]]) -> ComparisonTable:

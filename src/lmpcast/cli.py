@@ -27,7 +27,7 @@ from .backtest import (
     rolling_backtest,
 )
 from .backtest import exog_window, transform_target
-from .dataio import export_plot_data, load_lmp_csv, synth_market, write_lmp_csv, _open_out
+from .dataio import csv_table, export_plot_data, load_lmp_csv, synth_market, write_lmp_csv, write_text
 from .errors import LmpcastError, SchemaError
 from .estimation import grid_select
 from .series import clip_and_log, delta_lmp, format_hour, parse_hour
@@ -156,22 +156,17 @@ def cmd_select(args: argparse.Namespace, config: dict[str, Any]) -> int:
     dataset = _load_data(args, config)
     train = _train_window(config, dataset)
     pipeline = cfg.build_pipeline(config)
+    if pipeline.spec is None:
+        raise SchemaError(f"{pipeline.kind} pipelines have no model orders to select")
     series, exog = transform_target(pipeline, train), exog_window(pipeline, train.dalmp)
     grid = cfg.read(config, "grid")
-    chosen, table = grid_select(
-        series, exog, grid["p"], grid["q"], cfg.build_model_spec(config), cfg.build_fit_options(config)
-    )
+    chosen, table = grid_select(series, exog, grid["p"], grid["q"], pipeline.spec, cfg.build_fit_options(config))
     print(table.render())
     print(f"selected: p={chosen.p}, q={chosen.q}")
     if args.out:
-        with _open_out(args.out) as out:
-            out.write("p,q,bic,status\n")
-            for p in table.p_values:
-                for q in table.q_values:
-                    if (p, q) in table.cells:
-                        out.write(f"{p},{q},{table.cells[(p, q)]:.6f},ok\n")
-                    else:
-                        out.write(f"{p},{q},,failed\n")
+        rows = [(p, q, table.cells.get((p, q)), "ok" if (p, q) in table.cells else "failed")
+                for p in table.p_values for q in table.q_values]
+        write_text(args.out, csv_table(dict(zip(("p", "q", "bic", "status"), zip(*rows))), floats=("bic",)))
     return 0
 
 
@@ -180,8 +175,7 @@ def cmd_fit(args: argparse.Namespace, config: dict[str, Any]) -> int:
     train = _train_window(config, dataset)
     pipeline = cfg.build_pipeline(config)
     fitted = fit_pipeline(pipeline, train, cfg.build_fit_options(config))
-    with _open_out(args.out) as out:
-        out.write(cfg.fitted_to_artifact(config, fitted))
+    write_text(args.out, cfg.fitted_to_artifact(config, fitted))
     print(
         f"fit {config['pipeline']} on {len(train)} hours: "
         f"loglik={fitted.loglik:.4f} bic={fitted.bic:.4f} "
@@ -213,11 +207,9 @@ def cmd_forecast(args: argparse.Namespace, config: dict[str, Any]) -> int:
     dalmp_future = dataset.dalmp.window(split, future_len) if future_len > 0 else None
     fitted = restore_pipeline_fit(pipeline, history, params, garch, diagnostics)
     forecasts, variance = pipeline_forecast(pipeline, fitted, history, dalmp_future, horizon)
-    with _open_out(args.out) as out:
-        out.write("timestamp,forecast,variance\n")
-        for i in range(len(forecasts)):
-            ts = format_hour(forecasts.timestamp_at(i))
-            out.write(f"{ts},{forecasts.values[i]:.6f},{variance[i]:.6f}\n")
+    columns = {"timestamp": map(forecasts.timestamp_at, range(len(forecasts))),
+               "forecast": forecasts.values, "variance": variance}
+    write_text(args.out, csv_table(columns, floats=("forecast", "variance")))
     print(f"wrote {len(forecasts)}-hour forecast from {format_hour(origin)} to {args.out}")
     return 0
 
@@ -235,8 +227,7 @@ def cmd_backtest(args: argparse.Namespace, config: dict[str, Any]) -> int:
         options=cfg.build_fit_options(config),
         epsilon=cfg.read(config, "epsilon"),
     )
-    with _open_out(args.out) as out:
-        out.write(report.to_json())
+    write_text(args.out, report.to_json())
     for i, value in enumerate(report.improvement, start=1):
         print(f"I_{i} = {value:.2f}%  (MAE {report.mae[i - 1]:.4f}, excluded {report.excluded[i - 1]})")
     print(f"wrote report to {args.out}")
@@ -254,8 +245,7 @@ def cmd_compare(args: argparse.Namespace, config: dict[str, Any]) -> int:
     table = compare_models(entries)
     print(table.render())
     if args.out:
-        with _open_out(args.out) as out:
-            out.write(table.to_csv())
+        write_text(args.out, table.to_csv())
     return 0
 
 

@@ -254,17 +254,14 @@ def build_synth_config(config: Mapping[str, Any]) -> SynthConfig:
 
 
 def split_dataset(config: Mapping[str, Any], dataset: MarketDataset) -> tuple[MarketDataset, MarketDataset]:
-    """Cut the dataset into train/test at the configured boundary timestamps."""
+    """Cut the dataset into train/test at the configured boundaries; ``test_end`` may be the data's end."""
     test_start, test_end = read(config, "test_start"), read(config, "test_end")
     if test_start is None:
         raise SchemaError("config key 'test_start' is required to split train/test")
     split = dataset.dalmp.index_of(test_start)
     if split == 0:
         raise SchemaError("test_start leaves an empty training window")
-    if test_end is None:
-        test_len = len(dataset) - split
-    else:
-        test_len = dataset.dalmp.index_of(test_end) - split
+    test_len = (len(dataset) if test_end in (None, dataset.end) else dataset.dalmp.index_of(test_end)) - split
     if test_len < 1:
         raise SchemaError("test window is empty")
     return dataset.window(0, split), dataset.window(split, test_len)

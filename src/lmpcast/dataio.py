@@ -2,8 +2,10 @@
 
 The CSV schema is a single header line ``timestamp,dalmp,rtlmp`` followed
 by one row per hour: ISO-8601 UTC whole-hour timestamps and plain decimal
-prices. Files are UTF-8 with LF line endings and prices serialize at six
-decimal places.
+prices. Every CSV the package writes, this schema and the plot, forecast,
+grid and comparison tables alike, goes through :func:`csv_table`: a header
+line, floats at six decimal places, hours as ``format_hour`` renders them,
+UTF-8 with LF line endings.
 
 The synthetic market builds a day-ahead price path and a differential path
 from configured models, sets ``rtlmp = dalmp - delta`` so the pipeline's
@@ -18,15 +20,14 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from datetime import datetime
-from typing import Mapping, Sequence
+from datetime import datetime, timezone
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .arima import DEFAULT_ORIGIN, ModelSpec, ParameterVector, check_conforms, simulate
 from .errors import AlignmentError, GapError, IoError, ParseError, SchemaError
 from .series import (
-    HOUR,
     UNITS_PRICE,
     HourlySeries,
     format_hour,
@@ -42,6 +43,8 @@ __all__ = [
     "SynthConfig",
     "load_lmp_csv",
     "write_lmp_csv",
+    "csv_table",
+    "write_text",
     "synth_market",
     "export_plot_data",
 ]
@@ -150,16 +153,23 @@ def synth_market(config: SynthConfig) -> MarketDataset:
     return MarketDataset(dalmp, rtlmp, config.node)
 
 
+def _hour(number) -> datetime:
+    """The UTC hour that the loader numbers ``toordinal() * 24 + hour``."""
+    day, hour = divmod(int(number), 24)
+    return datetime.fromordinal(day).replace(hour=hour, tzinfo=timezone.utc)
+
+
 def load_lmp_csv(path, gap_policy: str = "reject", node: str = "NODE") -> MarketDataset:
     """Read a dataset from CSV, validating hourly continuity.
 
-    Rows are sorted by timestamp; duplicated hours are averaged (logged).
-    Missing hours either raise GapError (``gap_policy="reject"``) or repeat
-    the previous row's prices (``"forward-fill"``, logged).
+    Rows are sorted by timestamp; duplicated hours are averaged in file order
+    (logged). Missing hours either raise GapError (``gap_policy="reject"``)
+    or repeat the previous hour's prices (``"forward-fill"``, logged).
     """
     if gap_policy not in ("reject", "forward-fill"):
         raise ValueError(f"gap_policy must be 'reject' or 'forward-fill', got {gap_policy!r}")
-    rows: list[tuple[datetime, float, float]] = []
+    hours: list[int] = []
+    prices: list[tuple[float, float]] = []
     try:
         handle = open(path, encoding="utf-8", newline="")
     except OSError as exc:
@@ -184,67 +194,75 @@ def load_lmp_csv(path, gap_policy: str = "reject", node: str = "NODE") -> Market
                 raise ParseError(f"line {lineno}: bad price field: {exc}") from exc
             if not (math.isfinite(da) and math.isfinite(rt)):
                 raise ParseError(f"line {lineno}: price fields must be finite, got {row[1]!r}, {row[2]!r}")
-            rows.append((ts, da, rt))
-    if not rows:
+            hours.append(ts.toordinal() * 24 + ts.hour)
+            prices.append((da, rt))
+    if not hours:
         raise SchemaError(f"{path}: no data rows")
 
-    rows.sort(key=lambda r: r[0])
-    deduped: list[tuple[datetime, float, float]] = []
-    duplicate_hours = 0
-    i = 0
-    while i < len(rows):
-        j = i
-        while j + 1 < len(rows) and rows[j + 1][0] == rows[i][0]:
-            j += 1
-        if j > i:
-            duplicate_hours += 1
-            da = sum(r[1] for r in rows[i : j + 1]) / (j - i + 1)
-            rt = sum(r[2] for r in rows[i : j + 1]) / (j - i + 1)
-            deduped.append((rows[i][0], da, rt))
-        else:
-            deduped.append(rows[i])
-        i = j + 1
-    if duplicate_hours:
-        log.warning("%s: averaged %d duplicated hour(s)", path, duplicate_hours)
+    # each distinct hour starts from its first row and adds the others in
+    # file order (np.add.at is sequential, as a left-to-right sum is)
+    unique, first, group, counts = np.unique(hours, return_index=True, return_inverse=True, return_counts=True)
+    table = np.array(prices)
+    values = table[first]
+    later = np.ones(len(hours), dtype=bool)
+    later[first] = False
+    np.add.at(values, group[later], table[later])
+    values /= counts[:, None]
+    duplicated = np.count_nonzero(counts > 1)
+    if duplicated:
+        log.warning("%s: averaged %d duplicated hour(s)", path, duplicated)
 
-    filled: list[tuple[datetime, float, float]] = [deduped[0]]
-    gap_hours = 0
-    for row in deduped[1:]:
-        expected = filled[-1][0] + HOUR
-        while row[0] > expected:
-            if gap_policy == "reject":
-                raise GapError(f"missing hour {format_hour(expected)}")
-            filled.append((expected, filled[-1][1], filled[-1][2]))
-            gap_hours += 1
-            expected += HOUR
-        filled.append(row)
-    if gap_hours:
-        log.warning("%s: forward-filled %d missing hour(s)", path, gap_hours)
+    steps = np.diff(unique)
+    if gap_policy == "reject" and np.any(steps > 1):
+        missing = unique[np.argmax(steps > 1)] + 1
+        raise GapError(f"missing hour {format_hour(_hour(missing))}")
+    every = np.arange(unique[0], unique[-1] + 1)
+    values = values[np.searchsorted(unique, every, side="right") - 1]
+    if len(every) > len(unique):
+        log.warning("%s: forward-filled %d missing hour(s)", path, len(every) - len(unique))
 
-    start = filled[0][0]
-    da_values = np.array([r[1] for r in filled])
-    rt_values = np.array([r[2] for r in filled])
+    start = _hour(unique[0])
     return MarketDataset(
-        HourlySeries(start, da_values, UNITS_PRICE),
-        HourlySeries(start, rt_values, UNITS_PRICE),
+        HourlySeries(start, values[:, 0], UNITS_PRICE),
+        HourlySeries(start, values[:, 1], UNITS_PRICE),
         node,
     )
 
 
-def _open_out(path):
+def _cells(values: Iterable, floats: bool) -> list[str]:
+    """One column's values as cells, in the one format picked for the column."""
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    present = next((v for v in values if v is not None), None)
+    render = "{:.6f}".format if floats else format_hour if isinstance(present, datetime) else str
+    return ["" if v is None else render(v) for v in values]
+
+
+def csv_table(columns: Mapping[str, Iterable], floats: Collection[str] = ()) -> str:
+    """The CSV text of a table: a header line of the column names, then one row per index.
+
+    The columns named in ``floats`` are written at six decimal places. In
+    the others a datetime is written as :func:`format_hour` renders it, and
+    an integer or a text as it is. A missing value (None) is an empty cell.
+    Lines end in LF.
+    """
+    cells = [_cells(values, name in floats) for name, values in columns.items()]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` in UTF-8 with LF line endings; IoError if that fails."""
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            out.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def write_lmp_csv(dataset: MarketDataset, path) -> None:
-    """Write a dataset in the load_lmp_csv schema, six decimal places."""
-    with _open_out(path) as out:
-        out.write(",".join(_HEADER) + "\n")
-        for t in range(len(dataset)):
-            ts = format_hour(dataset.dalmp.timestamp_at(t))
-            out.write(f"{ts},{dataset.dalmp.values[t]:.6f},{dataset.rtlmp.values[t]:.6f}\n")
+    """Write a dataset in the load_lmp_csv schema."""
+    da, rt = dataset.dalmp, dataset.rtlmp
+    columns = dict(zip(_HEADER, (map(da.timestamp_at, range(len(da))), da.values, rt.values)))
+    write_text(path, csv_table(columns, floats=_HEADER[1:]))
 
 
 def export_plot_data(kind: str, path, **inputs) -> None:
@@ -260,38 +278,29 @@ def export_plot_data(kind: str, path, **inputs) -> None:
     if kind == "acf_pacf":
         series: HourlySeries = inputs["series"]
         max_lag = int(inputs.get("max_lag", 48))
-        acf = sample_acf(series, max_lag)
-        pacf = sample_pacf(series, max_lag)
         band = 2.0 / np.sqrt(len(series))
-        with _open_out(path) as out:
-            out.write("lag,acf,pacf,band\n")
-            for lag in range(max_lag + 1):
-                out.write(f"{lag},{acf[lag]:.6f},{pacf[lag]:.6f},{band:.6f}\n")
+        columns = {"lag": range(max_lag + 1), "acf": sample_acf(series, max_lag),
+                   "pacf": sample_pacf(series, max_lag), "band": [band] * (max_lag + 1)}
+        floats = ("acf", "pacf", "band")
     elif kind == "improvement_curve":
         curves: Mapping[str, Sequence[float]] = inputs["curves"]
         if not curves:
             raise ValueError("improvement_curve needs at least one model")
-        names = list(curves)
-        horizons = len(curves[names[0]])
-        if any(len(curves[name]) != horizons for name in names):
+        if "horizon" in curves:
+            raise ValueError("a model named 'horizon' would replace the horizon column")
+        horizons = len(next(iter(curves.values())))
+        if any(len(curve) != horizons for curve in curves.values()):
             raise AlignmentError("improvement curves must cover the same horizons")
-        with _open_out(path) as out:
-            out.write("horizon," + ",".join(names) + "\n")
-            for h in range(horizons):
-                cells = ",".join(f"{curves[name][h]:.6f}" for name in names)
-                out.write(f"{h + 1},{cells}\n")
+        columns, floats = {"horizon": range(1, horizons + 1), **curves}, curves
     elif kind == "forecast_overlay":
         actual: HourlySeries = inputs["actual"]
         forecast: HourlySeries = inputs["forecast"]
         baseline: HourlySeries = inputs["baseline"]
         require_aligned(actual, forecast)
         require_aligned(actual, baseline)
-        with _open_out(path) as out:
-            out.write("timestamp,actual,forecast,baseline\n")
-            for t in range(len(actual)):
-                out.write(
-                    f"{format_hour(actual.timestamp_at(t))},{actual.values[t]:.6f},"
-                    f"{forecast.values[t]:.6f},{baseline.values[t]:.6f}\n"
-                )
+        columns = {"timestamp": map(actual.timestamp_at, range(len(actual))), "actual": actual.values,
+                   "forecast": forecast.values, "baseline": baseline.values}
+        floats = ("actual", "forecast", "baseline")
     else:
         raise ValueError(f"unknown plot-data kind {kind!r}")
+    write_text(path, csv_table(columns, floats))

@@ -13,8 +13,11 @@ from types import SimpleNamespace
 
 import pytest
 
+import lmpcast.cli
+from lmpcast.arima import ModelSpec
 from lmpcast.backtest import BacktestReport
 from lmpcast.cli import main
+from lmpcast.estimation import BicTable
 
 BASE_CONFIG = {
     "pipeline": "arma_delta",
@@ -328,6 +331,29 @@ class TestSelect:
         assert lines[0] == "p,q,bic,status"
         assert len(lines) == 1 + 4
 
+    def test_out_exact_bytes_with_a_failed_cell(self, ws, tmp_path, monkeypatch):
+        table = BicTable((1, 2), (1, 3), {(1, 1): 1234.5, (1, 3): -7.0, (2, 3): 1e-7}, {(2, 1): "EstimationFailed: x"})
+        monkeypatch.setattr(lmpcast.cli, "grid_select", lambda *args: (ModelSpec(p=1, q=3), table))
+        out = tmp_path / "grid.csv"
+        assert main(["select", "--config", ws.config, "--data", ws.data, "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"p,q,bic,status\n"
+            b"1,1,1234.500000,ok\n"
+            b"1,3,-7.000000,ok\n"
+            b"2,1,,failed\n"
+            b"2,3,0.000000,ok\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["baseline", "oracle"])
+    def test_model_free_pipeline_exits_one_naming_it(self, ws, tmp_path, capsys, kind):
+        config = write_config(tmp_path, "grid.json", pipeline=kind, grid={"p": [1, 2], "q": [1, 1]})
+        out = tmp_path / "grid.csv"
+        assert main(["select", "--config", config, "--data", ws.data, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {kind}" in captured.err
+        assert "p\\q" not in captured.out and "selected" not in captured.out
+        assert not out.exists()
+
 
 class TestFitForecastBacktestCompare:
     def test_full_workflow(self, ws, capsys):
@@ -389,6 +415,65 @@ class TestFitForecastBacktestCompare:
         csv_lines = table.read_text(encoding="utf-8").splitlines()
         assert csv_lines[0] == "model,horizon,improvement_pct,mae,excluded"
         assert len(csv_lines) == 1 + 2 * BASE_CONFIG["horizon"]
+
+    def test_forecast_out_exact_bytes(self, tmp_path):
+        # an AR(1) differential with intercept 1 and phi 0.5 on a 4-hour
+        # history whose last differential is 4: forecasts 3 and 2.5 below dalmp
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "timestamp,dalmp,rtlmp\n"
+            "2001-01-01T00:00Z,10.0,9.0\n2001-01-01T01:00Z,11.0,10.0\n"
+            "2001-01-01T02:00Z,12.0,10.5\n2001-01-01T03:00Z,13.0,9.0\n"
+            "2001-01-01T04:00Z,20.0,15.0\n2001-01-01T05:00Z,30.0,25.0\n",
+            encoding="utf-8",
+        )
+        params = {"phi": [0.5], "Phi": [], "theta": [], "Theta": [], "mu": 1.0, "gamma": [], "sigma2": 1.0}
+        artifact = {
+            "config": {"pipeline": "arma_delta", "order": {"p": 1}},
+            "model": {"params": params, "garch": None,
+                      "diagnostics": {"converged": True, "iterations": 0, "boundary_flags": []}},
+        }
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(artifact), encoding="utf-8")
+        out = tmp_path / "forecast.csv"
+        rc = main(["forecast", "--model", str(model), "--data", str(data),
+                   "--origin", "2001-01-01T04:00Z", "--horizon", "2", "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == (
+            b"timestamp,forecast,variance\n"
+            b"2001-01-01T04:00Z,17.000000,1.000000\n"
+            b"2001-01-01T05:00Z,27.500000,1.250000\n"
+        )
+
+    def test_compare_out_exact_bytes(self, tmp_path):
+        start = datetime(2001, 1, 19, tzinfo=timezone.utc)
+        reports = []
+        for name, improvement, mae, excluded in (
+            ("low", (-2.5, 1.0), (3.0, 4.25), (0, 1)),
+            ("high", (12.125, 0.0), (1e-7, 2.0), (3, 0)),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(BacktestReport(
+                horizon=2, n_origins=4, improvement=improvement, mae=mae, excluded=excluded,
+                test_start=start, test_length=4,
+            ).to_json(), encoding="utf-8")
+            reports.append(f"{name}={path}")
+        out = tmp_path / "table.csv"
+        assert main(["compare", *reports, "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"model,horizon,improvement_pct,mae,excluded\n"
+            b"high,1,12.125000,0.000000,3\n"
+            b"high,2,0.000000,2.000000,0\n"
+            b"low,1,-2.500000,3.000000,0\n"
+            b"low,2,1.000000,4.250000,1\n"
+        )
+
+    def test_test_end_at_the_end_of_the_data_scores_the_rest(self, ws, tmp_path):
+        whole, ended = tmp_path / "whole.json", tmp_path / "ended.json"
+        assert main(["backtest", "--config", ws.config, "--data", ws.data, "--out", str(whole)]) == 0
+        config = write_config(tmp_path, "end.json", test_end="2001-01-21T00:00Z")
+        assert main(["backtest", "--config", config, "--data", ws.data, "--out", str(ended)]) == 0
+        assert ended.read_bytes() == whole.read_bytes()
 
     def test_oracle_backtest_scores_hundred(self, ws, tmp_path, capsys):
         config = write_config(tmp_path, "oracle.json", pipeline="oracle")

@@ -11,7 +11,7 @@ from lmpcast import config as cfg
 from lmpcast.arima import ModelSpec, ParameterVector
 from lmpcast.backtest import PipelineConfig, fit_pipeline
 from lmpcast.dataio import MarketDataset, synth_market
-from lmpcast.errors import MissingKey, SchemaError, boolean, integer, number, read_fields
+from lmpcast.errors import AlignmentError, MissingKey, SchemaError, boolean, integer, number, read_fields
 from lmpcast.estimation import FitOptions
 from lmpcast.garch import GarchSpec
 from lmpcast.series import UNITS_PRICE, HourlySeries
@@ -174,6 +174,12 @@ class TestSplitDataset:
         _, test = cfg.split_dataset(merged, self.data)
         assert len(test) == 6
 
+    def test_test_end_may_be_the_end_of_the_data(self):
+        merged = cfg.merge_config({"test_start": "2015-01-06T00:00Z", "test_end": "2015-01-07T00:00Z"})
+        _, test = cfg.split_dataset(merged, self.data)
+        assert len(test) == 24
+        assert test.end == self.data.end
+
     def test_boundary_errors(self):
         with pytest.raises(SchemaError, match="test_start"):
             cfg.split_dataset(cfg.merge_config(), self.data)
@@ -187,6 +193,14 @@ class TestSplitDataset:
                     {"test_start": "2015-01-06T00:00Z", "test_end": "2015-01-06T00:00Z"}
                 ),
                 self.data,
+            )
+        with pytest.raises(SchemaError, match="empty"):
+            cfg.split_dataset(
+                cfg.merge_config({"test_start": "2015-01-06T00:00Z", "test_end": "2015-01-05T12:00Z"}), self.data
+            )
+        with pytest.raises(AlignmentError, match="2015-01-07T01:00"):
+            cfg.split_dataset(
+                cfg.merge_config({"test_start": "2015-01-06T00:00Z", "test_end": "2015-01-07T01:00Z"}), self.data
             )
 
 

@@ -23,7 +23,7 @@ from lmpcast.errors import (
     SchemaError,
     UnstableParameters,
 )
-from lmpcast.series import UNITS_PRICE, HourlySeries, delta_lmp, weekend_indicator
+from lmpcast.series import HOUR, UNITS_PRICE, HourlySeries, delta_lmp, format_hour, weekend_indicator
 
 MONDAY = datetime(2015, 1, 5, tzinfo=timezone.utc)
 
@@ -93,6 +93,61 @@ class TestLoadCsv:
         assert data.dalmp.values[0] == pytest.approx(25.0)
         assert data.rtlmp.values[0] == pytest.approx(35.0)
         assert "averaged 1" in caplog.text
+
+    def test_shuffled_triple_hour_next_to_a_gap_forward_filled(self, tmp_path, caplog):
+        # 01:00 appears three times, 02:00 and 03:00 are missing, 04:00 and
+        # 05:00 come before the rows they follow
+        path = write(
+            tmp_path / "mixed.csv",
+            "2015-01-05T04:00Z,40.000000,44.000000\n"
+            "2015-01-05T01:00Z,10.100000,11.000000\n"
+            "2015-01-05T00:00Z,5.000000,6.000000\n"
+            "2015-01-05T01:00Z,10.200000,12.000000\n"
+            "2015-01-05T05:00Z,50.000000,55.000000\n"
+            "2015-01-05T01:00Z,10.400000,13.000000\n",
+        )
+        with caplog.at_level(logging.WARNING, logger="lmpcast.dataio"):
+            data = load_lmp_csv(path, gap_policy="forward-fill")
+        triple_da = (10.1 + 10.2 + 10.4) / 3
+        assert data.start == MONDAY
+        assert data.dalmp.values.tolist() == [5.0, triple_da, triple_da, triple_da, 40.0, 50.0]
+        assert data.rtlmp.values.tolist() == [6.0, 12.0, 12.0, 12.0, 44.0, 55.0]
+        assert "averaged 1 duplicated hour(s)" in caplog.text
+        assert "forward-filled 2 missing hour(s)" in caplog.text
+
+    def test_duplicate_before_a_gap_rejected_naming_first_missing_hour(self, tmp_path, caplog):
+        path = write(
+            tmp_path / "dupgap.csv",
+            "2015-01-05T00:00Z,1.0,2.0\n"
+            "2015-01-05T01:00Z,3.0,4.0\n"
+            "2015-01-05T01:00Z,5.0,6.0\n"
+            "2015-01-05T04:00Z,7.0,8.0\n",
+        )
+        with caplog.at_level(logging.WARNING, logger="lmpcast.dataio"):
+            with pytest.raises(GapError, match="^missing hour 2015-01-05T02:00Z$"):
+                load_lmp_csv(path)
+        assert "averaged 1 duplicated hour(s)" in caplog.text
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_a_row_by_row_reference(self, tmp_path, seed):
+        # the reference sorts rows by hour (stably), averages each hour's rows
+        # left to right in file order and repeats the last hour into gaps
+        rng = np.random.default_rng(seed)
+        rows = [(int(h), *rng.normal(30.0, 20.0, 2).tolist()) for h in rng.integers(0, 60, 90)]
+        by_hour = {}
+        for h, da, rt in sorted(rows, key=lambda r: r[0]):
+            by_hour.setdefault(h, []).append((da, rt))
+        want, last = [], None
+        for h in range(min(by_hour), max(by_hour) + 1):
+            group = by_hour.get(h)
+            if group:
+                last = (sum(r[0] for r in group) / len(group), sum(r[1] for r in group) / len(group))
+            want.append(last)
+        body = "".join(f"{format_hour(MONDAY + HOUR * h)},{da!r},{rt!r}\n" for h, da, rt in rows)
+        data = load_lmp_csv(write(tmp_path / "random.csv", body), gap_policy="forward-fill")
+        assert data.start == MONDAY + HOUR * min(by_hour)
+        assert data.dalmp.values.tolist() == [r[0] for r in want]
+        assert data.rtlmp.values.tolist() == [r[1] for r in want]
 
     def test_malformed_rows_name_the_line(self, tmp_path):
         path = write(tmp_path / "wide.csv", "2015-01-05T00:00Z,25.10,24.80,9\n")
@@ -286,9 +341,20 @@ class TestExportPlotData:
         assert len(lines) == 1 + 12
         assert lines[1].startswith("1,26.640000,27.210000")
 
+    def test_improvement_curve_exact_bytes_with_integer_entries(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        export_plot_data("improvement_curve", path, curves={"arma": [5, -2], "oracle": [100.0, 2.5]})
+        assert path.read_bytes() == (
+            b"horizon,arma,oracle\n"
+            b"1,5.000000,100.000000\n"
+            b"2,-2.000000,2.500000\n"
+        )
+
     def test_improvement_curve_validation(self, tmp_path):
         with pytest.raises(ValueError):
             export_plot_data("improvement_curve", tmp_path / "x.csv", curves={})
+        with pytest.raises(ValueError, match="horizon"):
+            export_plot_data("improvement_curve", tmp_path / "x.csv", curves={"horizon": [1.0]})
         with pytest.raises(AlignmentError):
             export_plot_data(
                 "improvement_curve",
@@ -309,6 +375,18 @@ class TestExportPlotData:
         assert lines[0] == "timestamp,actual,forecast,baseline"
         assert len(lines) == 1 + 48
         assert lines[1].startswith("2015-01-05T00:00Z,")
+
+    def test_forecast_overlay_exact_bytes(self, tmp_path):
+        path = tmp_path / "overlay.csv"
+        export_plot_data(
+            "forecast_overlay", path,
+            actual=series([30.5, -1.25]), forecast=series([30.0, 0.0]), baseline=series([1e-7, 12.0]),
+        )
+        assert path.read_bytes() == (
+            b"timestamp,actual,forecast,baseline\n"
+            b"2015-01-05T00:00Z,30.500000,30.000000,0.000000\n"
+            b"2015-01-05T01:00Z,-1.250000,0.000000,12.000000\n"
+        )
 
     def test_forecast_overlay_alignment(self, tmp_path):
         actual = series([1.0, 2.0])

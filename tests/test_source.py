@@ -1,6 +1,7 @@
 """Source checks on ``src/lmpcast``: no private module-level definition is dead
-code, the recursions compute on dense lag arrays, and JSON values are typed
-only by the field tables' leaf readers."""
+code, the recursions compute on dense lag arrays, JSON values are typed
+only by the field tables' leaf readers, and CSV cells are formatted only by
+``dataio``'s table writer."""
 
 import ast
 from pathlib import Path
@@ -78,6 +79,23 @@ def casts_outside_readers(modules):
     return found
 
 
+def csv_rules_outside_dataio(modules):
+    """``module:line what`` of each ``.6f`` format outside ``dataio.py`` and of
+    each private name taken from ``dataio`` (imported or read as an attribute)."""
+    found = []
+    for module, tree in modules:
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str) and ".6f" in sub.value:
+                if module != "dataio.py":
+                    found.append(f"{module}:{sub.lineno} .6f")
+            elif isinstance(sub, ast.ImportFrom) and (sub.module or "").split(".")[-1] == "dataio":
+                found += [f"{module}:{sub.lineno} {a.name}" for a in sub.names if a.name.startswith("_")]
+            elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "dataio":
+                if sub.attr.startswith("_"):
+                    found.append(f"{module}:{sub.lineno} {sub.attr}")
+    return found
+
+
 def parse_src():
     return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
 
@@ -124,3 +142,19 @@ def test_check_sees_a_cast_outside_the_readers():
         "SEED = int('3')\n"
     )
     assert casts_outside_readers([("config.py", config)]) == ["config.py:5 float", "config.py:7 int"]
+
+
+def test_csv_cells_are_formatted_only_by_dataio():
+    assert csv_rules_outside_dataio(parse_src()) == []
+
+
+def test_check_sees_csv_rules_outside_dataio():
+    dataio = ast.parse("def _open(path):\n    return path\n\nSIX = '{:.6f}'\n")
+    cli = ast.parse(
+        "from .dataio import _open, write_text\n"
+        "from lmpcast import dataio\n\n"
+        "def run(x):\n    dataio._open(f'{x:.6f}')\n    return '%.6f' % x, f'{x:.2f}'\n"
+    )
+    assert sorted(csv_rules_outside_dataio([("dataio.py", dataio), ("cli.py", cli)])) == [
+        "cli.py:1 _open", "cli.py:5 .6f", "cli.py:5 _open", "cli.py:6 .6f",
+    ]
