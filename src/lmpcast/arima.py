@@ -237,8 +237,9 @@ class ForecastResult:
     """Point forecasts with per-horizon forecast-error variances.
 
     ``psi`` holds the truncated impulse-response weights of the level
-    process used to build the variances; conditional-variance layers reuse
-    them to swap in time-varying innovation variances.
+    process used to build the variances. Conditional-variance layers weight
+    them by time-varying innovation variances through
+    :meth:`OriginForecasts.variance`.
     """
 
     mean: HourlySeries
@@ -246,16 +247,22 @@ class ForecastResult:
     psi: np.ndarray
 
 
-def _validate_exog(spec: ModelSpec, series: HourlySeries, exog: ExogenousMatrix | None) -> None:
+def _check_exog_count(spec: ModelSpec, exog: ExogenousMatrix | None) -> None:
+    """The regressor rule: ``exog`` is given exactly when the spec has
+    regressors, with ``spec.exog_count`` columns. Callers check the calendar."""
     if spec.exog_count == 0:
         if exog is not None:
             raise ValueError("spec has no exogenous terms but exog was supplied")
-        return
-    if exog is None:
+    elif exog is None:
         raise ValueError(f"spec requires {spec.exog_count} exogenous columns, none supplied")
-    if exog.r != spec.exog_count:
+    elif exog.r != spec.exog_count:
         raise ValueError(f"spec requires {spec.exog_count} exogenous columns, got {exog.r}")
-    if exog.start != series.start or len(exog) != len(series):
+
+
+def _validate_exog(spec: ModelSpec, series: HourlySeries, exog: ExogenousMatrix | None) -> None:
+    """The regressor rule, and regressors on exactly the series' calendar."""
+    _check_exog_count(spec, exog)
+    if exog is not None and (exog.start != series.start or len(exog) != len(series)):
         raise AlignmentError("exogenous matrix must share the target series calendar")
 
 
@@ -437,6 +444,7 @@ def simulate(
     burn-in and can be differenced alongside the target.
     """
     check_conforms(spec, params)
+    _check_exog_count(spec, exog)
     if n < 1:
         raise ValueError("n must be >= 1")
     diff_poly = difference_polynomial(spec.diff)
@@ -446,11 +454,7 @@ def simulate(
     burn = burn_in(spec)
 
     det_input = np.full(burn + n, params.mu)
-    if spec.exog_count:
-        if exog is None:
-            raise ValueError(f"spec requires {spec.exog_count} exogenous columns, none supplied")
-        if exog.r != spec.exog_count:
-            raise ValueError(f"spec requires {spec.exog_count} exogenous columns, got {exog.r}")
+    if exog is not None:
         need = n + burn + k
         if len(exog) < need or exog.columns[0].end != start + HOUR * n:
             raise AlignmentError(
@@ -537,8 +541,7 @@ def forecast_origins(
             f"series of length {origins.min()} is below the minimum {spec.min_series_length()} "
             f"for this spec"
         )
-    if (exog is None) != (spec.exog_count == 0) or (exog is not None and exog.r != spec.exog_count):
-        raise ValueError(f"spec requires {spec.exog_count} exogenous columns")
+    _check_exog_count(spec, exog)
     if exog is not None and (exog.start != series.start or len(exog) < len(series)):
         raise AlignmentError("regressors must start with the series and cover it")
 
@@ -582,28 +585,21 @@ def forecast(
     exog_history: ExogenousMatrix | None = None,
     exog_future: ExogenousMatrix | None = None,
     horizon: int = 1,
-    innovation_variances: np.ndarray | None = None,
 ) -> ForecastResult:
     """Minimum-mean-square-error forecasts for 1..horizon steps ahead.
 
     Future innovations are set to zero in the recursion on the differenced
     scale, and the path is integrated back to levels using the last observed
     level values. Forecast-error variances come from the truncated
-    impulse-response expansion of the level process:
-    ``Var(h) = sum_{j<h} psi_j^2 * s2_{h-j}`` where ``s2_i`` is the
-    innovation variance at future step ``i`` (constant ``sigma2`` unless
-    ``innovation_variances`` supplies per-step values from a
-    conditional-variance model). This is :func:`forecast_origins` with the
-    single origin at the end of ``history``.
+    impulse-response expansion of the level process with constant
+    innovation variance: ``Var(h) = sigma2 * sum_{j<h} psi_j^2``. This is
+    :func:`forecast_origins` with the single origin at the end of
+    ``history``; :func:`lmpcast.estimation.model_forecast` routes a GARCH
+    layer's variances, and :meth:`OriginForecasts.variance` takes any
+    per-step plan.
     """
     paths = _end_of_history_paths(spec, params, history, exog_history, exog_future, horizon)
-    s2: float | np.ndarray = params.sigma2
-    if innovation_variances is not None:
-        s2 = np.asarray(innovation_variances, dtype=np.float64)
-        if s2.shape[0] < horizon:
-            raise ValueError("innovation_variances must cover every forecast step")
-        s2 = s2[:horizon]
-    return paths.result(history, s2)
+    return paths.result(history, params.sigma2)
 
 
 def _end_of_history_paths(
@@ -616,28 +612,18 @@ def _end_of_history_paths(
 ) -> OriginForecasts:
     """:func:`forecast_origins` from the one origin at the end of ``history``."""
     _validate_exog(spec, history, exog_history)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    exog = None
-    if spec.exog_count:
-        if exog_future is None:
-            raise MissingExogenousFuture(
-                f"spec has {spec.exog_count} exogenous columns; future regressor values are required"
-            )
-        if exog_future.r != spec.exog_count:
-            raise MissingExogenousFuture(
-                f"need {spec.exog_count} future regressor columns, got {exog_future.r}"
-            )
+    exog, covered = None, 0
+    if exog_future is not None:
+        _check_exog_count(spec, exog_future)
         if exog_future.start != history.end:
             raise AlignmentError("future exogenous window must start at the end of the history")
-        if len(exog_future) < horizon:
-            raise MissingExogenousFuture(
-                f"future regressors cover {len(exog_future)} hours, horizon needs {horizon}"
-            )
+        covered = len(exog_future)
         exog = ExogenousMatrix(
             tuple(
                 HourlySeries(past.start, np.concatenate([past.values, future.values[:horizon]]), past.units)
                 for past, future in zip(exog_history.columns, exog_future.columns)
             )
         )
+    if spec.exog_count and covered < horizon:
+        raise MissingExogenousFuture(f"future regressors cover {covered} hours, horizon needs {horizon}")
     return forecast_origins(spec, params, history, exog, [len(history)], horizon)

@@ -84,9 +84,18 @@ DEGENERATE_KINDS = ("baseline", "oracle")
 _DELTA_KINDS = ("arma_delta", "armax_delta")
 
 
+# the one regressor column of each kind that takes one, from the pipeline and its day-ahead window
+_REGRESSORS = {
+    "armax_delta": lambda config, dalmp: weekend_indicator(dalmp.start, len(dalmp)),
+    "sarimax_rtlmp": lambda config, dalmp: (
+        dalmp if config.log_offset is None else log_transform(dalmp, config.log_offset)
+    ),
+}
+
+
 def exog_count(kind: str) -> int:
     """Regressor columns a pipeline kind's model takes (see :func:`exog_window`)."""
-    return 1 if kind in ("armax_delta", "sarimax_rtlmp") else 0
+    return int(kind in _REGRESSORS)
 
 
 @dataclass(frozen=True)
@@ -143,15 +152,8 @@ def transform_target(config: PipelineConfig, dataset: MarketDataset) -> HourlySe
 
 def exog_window(config: PipelineConfig, dalmp_window: HourlySeries) -> ExogenousMatrix | None:
     """Regressors aligned with a day-ahead window, or None for plain kinds."""
-    if config.kind == "armax_delta":
-        indicator = weekend_indicator(dalmp_window.start, len(dalmp_window))
-        return ExogenousMatrix((indicator,))
-    if config.kind == "sarimax_rtlmp":
-        column = dalmp_window
-        if config.log_offset is not None:
-            column = log_transform(column, config.log_offset)
-        return ExogenousMatrix((column,))
-    return None
+    column = _REGRESSORS.get(config.kind)
+    return None if column is None else ExogenousMatrix((column(config, dalmp_window),))
 
 
 def fit_pipeline(

@@ -7,6 +7,7 @@ path cannot hide.
 """
 
 import math
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -20,15 +21,18 @@ from lmpcast.arima import (
     burn_in,
     check_conforms,
     forecast,
+    forecast_origins,
     log_likelihood,
     residuals,
     simulate,
 )
 from lmpcast.errors import (
+    AlignmentError,
     MissingExogenousFuture,
     SeriesTooShort,
     UnstableParameters,
 )
+from lmpcast.estimation import Diagnostics, FitOptions, assemble_fit, fit, model_forecast
 from lmpcast.lagpoly import DifferenceSpec
 from lmpcast.series import HOUR, UNITS_NONE, HourlySeries, weekend_indicator
 
@@ -406,14 +410,6 @@ class TestForecast:
         limit = 1.0 + (0.7 - 0.2) ** 2 / (1.0 - 0.49)
         assert out.variance[-1] == pytest.approx(limit, rel=1e-3)
 
-    def test_missing_exog_future(self):
-        spec = ModelSpec(p=1, exog_count=1, constant=True)
-        params = ParameterVector(phi=(0.5,), mu=0.0, gamma=(1.0,), sigma2=1.0)
-        hist = series(np.zeros(50))
-        exog_hist = ExogenousMatrix((weekend_indicator(hist.start, 50),))
-        with pytest.raises(MissingExogenousFuture):
-            forecast(spec, params, hist, exog_history=exog_hist, horizon=2)
-
     def test_exog_future_enters_mean(self):
         spec = ModelSpec(exog_count=1, constant=True)
         params = ParameterVector(mu=1.0, gamma=(10.0,), sigma2=1.0)
@@ -428,9 +424,104 @@ class TestForecast:
         y = series(rng.normal(size=60))
         params = ParameterVector(phi=(0.7,), mu=0.0, sigma2=1.0)
         base = forecast(ModelSpec(p=1), params, y, horizon=3)
-        custom = forecast(
-            ModelSpec(p=1), params, y, horizon=3, innovation_variances=np.array([2.0, 2.0, 2.0])
-        )
-        # means untouched, variances scale with the innovation plan
-        np.testing.assert_array_equal(base.mean.values, custom.mean.values)
-        np.testing.assert_allclose(custom.variance, 2.0 * base.variance, atol=1e-12)
+        paths = forecast_origins(ModelSpec(p=1), params, y, None, [len(y)], 3)
+        plan = np.array([[1.0, 1.5, 0.5]])
+        # means untouched, variances scale with the per-step innovation plan
+        np.testing.assert_array_equal(paths.mean[0], base.mean.values)
+        np.testing.assert_array_equal(paths.variance(params.sigma2)[0], base.variance)
+        np.testing.assert_allclose(paths.variance(2.0 * plan), 2.0 * paths.variance(plan), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# regressor mistakes, crossed with every public entry point
+
+PLAIN = ModelSpec(p=1)
+ARMAX = ModelSpec(p=1, exog_count=1)
+HISTORY = series(np.sin(np.arange(48) / 5.0))
+STEPS = 3
+
+
+def regressors(start, hours, columns=1):
+    return ExogenousMatrix(tuple(weekend_indicator(start, hours) for _ in range(columns)))
+
+
+RIGHT_HISTORY = regressors(HISTORY.start, 48)
+RIGHT_FUTURE = regressors(HISTORY.end, STEPS)
+ENTRIES = ("fit", "residuals", "log_likelihood", "simulate", "forecast_origins", "forecast", "model_forecast")
+FUTURE_ENTRIES = ("forecast", "model_forecast")
+
+
+def call_entry(entry, spec, history_exog, future_exog):
+    """Run one entry point on HISTORY with the given regressor windows.
+
+    ``simulate`` draws the 38 hours after the 10-hour burn-in on HISTORY's
+    calendar, so a right history window ends where its output ends and covers
+    the burn-in; ``forecast_origins`` takes the history window alone.
+    """
+    params = ParameterVector(phi=(0.5,), mu=0.1, gamma=(2.0,) * spec.exog_count)
+    if entry == "fit":
+        return fit(spec, HISTORY, history_exog, FitOptions(restarts=1))
+    if entry == "residuals":
+        return residuals(spec, params, HISTORY, history_exog)
+    if entry == "log_likelihood":
+        return log_likelihood(spec, params, HISTORY, history_exog)
+    if entry == "simulate":
+        burn = burn_in(spec)
+        return simulate(spec, params, 48 - burn, history_exog, start=HISTORY.start + burn * HOUR)
+    if entry == "forecast_origins":
+        return forecast_origins(spec, params, HISTORY, history_exog, [48], STEPS)
+    if entry == "forecast":
+        return forecast(spec, params, HISTORY, history_exog, future_exog, STEPS)
+    right = RIGHT_HISTORY if spec.exog_count else None
+    fitted = assemble_fit(spec, params, HISTORY, right, Diagnostics(converged=True, iterations=0))
+    return model_forecast(fitted, HISTORY, history_exog, future_exog, STEPS)
+
+
+NOT_PLAIN = (ValueError, "spec has no exogenous terms but exog was supplied")
+NONE_GIVEN = (ValueError, "spec requires 1 exogenous columns, none supplied")
+TWO_COLUMNS = (ValueError, "spec requires 1 exogenous columns, got 2")
+OFF_CALENDAR = {
+    "*": (AlignmentError, "exogenous matrix must share the target series calendar"),
+    "simulate": (AlignmentError, "exogenous window must end at .* and hold at least 48 hours"),
+    "forecast_origins": (AlignmentError, "regressors must start with the series and cover it"),
+}
+# name: (spec, history window, future window, entry points that take the mistake,
+#        (exception, message) by entry point, "*" for the rest)
+MISTAKES = {
+    "plain_spec_history": (PLAIN, RIGHT_HISTORY, None, ENTRIES, {"*": NOT_PLAIN}),
+    "plain_spec_future": (PLAIN, None, RIGHT_FUTURE, FUTURE_ENTRIES, {"*": NOT_PLAIN}),
+    "none_for_armax": (ARMAX, None, None, ENTRIES, {"*": NONE_GIVEN}),
+    "two_history_columns": (ARMAX, regressors(HISTORY.start, 48, 2), RIGHT_FUTURE, ENTRIES, {"*": TWO_COLUMNS}),
+    "two_future_columns": (ARMAX, RIGHT_HISTORY, regressors(HISTORY.end, STEPS, 2), FUTURE_ENTRIES,
+                           {"*": TWO_COLUMNS}),
+    "history_hour_late": (ARMAX, regressors(HISTORY.start + HOUR, 48), RIGHT_FUTURE, ENTRIES, OFF_CALENDAR),
+    "history_hour_short": (ARMAX, regressors(HISTORY.start, 47), RIGHT_FUTURE, ENTRIES, OFF_CALENDAR),
+    "future_hour_late": (ARMAX, RIGHT_HISTORY, regressors(HISTORY.end + HOUR, STEPS), FUTURE_ENTRIES,
+                         {"*": (AlignmentError, "future exogenous window must start at the end of the history")}),
+    "future_hour_short": (ARMAX, RIGHT_HISTORY, regressors(HISTORY.end, STEPS - 1), FUTURE_ENTRIES,
+                          {"*": (MissingExogenousFuture, "future regressors cover 2 hours, horizon needs 3")}),
+    "no_future": (ARMAX, RIGHT_HISTORY, None, FUTURE_ENTRIES,
+                  {"*": (MissingExogenousFuture, "future regressors cover 0 hours, horizon needs 3")}),
+}
+
+
+@pytest.mark.parametrize(
+    "mistake, entry",
+    [(name, entry) for name, (*_, entries, _) in MISTAKES.items() for entry in entries],
+)
+def test_regressor_mistake_fails_early(mistake, entry):
+    spec, history_exog, future_exog, _, expected = MISTAKES[mistake]
+    error, message = expected.get(entry, expected["*"])
+    with pytest.raises(error) as caught:
+        call_entry(entry, spec, history_exog, future_exog)
+    assert type(caught.value) is error
+    assert re.fullmatch(message, str(caught.value))
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("spec", [PLAIN, ARMAX], ids=["plain", "armax"])
+def test_right_regressors_pass_every_entry_point(spec, entry):
+    if spec.exog_count:
+        call_entry(entry, spec, RIGHT_HISTORY, RIGHT_FUTURE)
+    else:
+        call_entry(entry, spec, None, None)

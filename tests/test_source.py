@@ -1,7 +1,8 @@
 """Source checks on ``src/lmpcast``: no private module-level definition is dead
 code, the recursions compute on dense lag arrays, JSON values are typed
-only by the field tables' leaf readers, and CSV cells are formatted only by
-``dataio``'s table writer."""
+only by the field tables' leaf readers, CSV cells are formatted only by
+``dataio``'s table writer, and a regressor matrix's column count is read only
+by ``arima``'s regressor rule."""
 
 import ast
 from pathlib import Path
@@ -96,6 +97,22 @@ def csv_rules_outside_dataio(modules):
     return found
 
 
+# the regressor rule: the one place an ``ExogenousMatrix``'s column count ``.r`` is read
+EXOG_RULE = ("arima.py", "_check_exog_count")
+
+
+def column_count_reads(modules):
+    """``module:line`` of each ``.r`` attribute outside the regressor rule's body."""
+    found = []
+    for module, tree in modules:
+        for node in tree.body:
+            if (module, getattr(node, "name", None)) == EXOG_RULE:
+                continue
+            found += [f"{module}:{sub.lineno}" for sub in ast.walk(node)
+                      if isinstance(sub, ast.Attribute) and sub.attr == "r"]
+    return found
+
+
 def parse_src():
     return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
 
@@ -157,4 +174,21 @@ def test_check_sees_csv_rules_outside_dataio():
     )
     assert sorted(csv_rules_outside_dataio([("dataio.py", dataio), ("cli.py", cli)])) == [
         "cli.py:1 _open", "cli.py:5 .6f", "cli.py:5 _open", "cli.py:6 .6f",
+    ]
+
+
+def test_regressor_columns_are_counted_only_by_the_rule():
+    modules = parse_src()
+    assert EXOG_RULE[0] in dict(modules)
+    assert column_count_reads(modules) == []
+
+
+def test_check_sees_a_column_count_outside_the_rule():
+    arima = ast.parse(
+        "def _check_exog_count(spec, exog):\n    return exog.r != spec.exog_count\n\n"
+        "def simulate(spec, exog):\n    return exog.r\n"
+    )
+    backtest = ast.parse("def _check_exog_count(exog):\n    return len(exog.columns), exog.r\n")
+    assert column_count_reads([("arima.py", arima), ("backtest.py", backtest)]) == [
+        "arima.py:5", "backtest.py:2",
     ]
