@@ -20,10 +20,11 @@ AR/MA shape the likelihood is maximized over them (and ``sigma2``) in
 closed form (:func:`profiled_log_likelihood`). Every recursion is a linear
 filter on dense lag arrays built from the factor tuples; the sparse
 :func:`ar_polynomial`/:func:`ma_polynomial` are the public reference. The
-AR side runs as ``np.convolve`` (``lfilter`` with a unit denominator), the
-MA inverse through ``lfilter``. Forecasts are one level-scale filter by the
-AR times the differencing operator, continued from each origin's last
-levels and forced by what its last innovations add (``past_terms``).
+AR side runs as ``np.convolve``, the MA inverse through ``lagpoly.lfilter``,
+the package's one filter entry point (SciPy's C routine). Forecasts are one
+level-scale filter by the AR times the differencing operator, continued
+from each origin's last levels and forced by what its last innovations add
+(``past_terms``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     AlignmentError,
@@ -48,6 +48,7 @@ from .lagpoly import (
     difference_polynomial,
     integrate_array,
     is_stable,
+    lfilter,
     multiply,
     past_terms,
 )
@@ -505,7 +506,7 @@ class OriginForecasts:
         values shaped like ``mean``.
         """
         s2 = np.broadcast_to(np.asarray(innovation_variances, dtype=np.float64), self.mean.shape)
-        return lfilter(self.psi**2, [1.0], s2, axis=-1)
+        return lfilter(self.psi**2, [1.0], s2)
 
     def result(self, history: HourlySeries, innovation_variances: float | np.ndarray) -> ForecastResult:
         """The first origin's forecasts, which start at the end of ``history``."""

@@ -207,8 +207,7 @@ def cmd_forecast(args: argparse.Namespace, config: dict[str, Any]) -> int:
     dalmp_future = dataset.dalmp.window(split, future_len) if future_len > 0 else None
     fitted = restore_pipeline_fit(pipeline, history, params, garch, diagnostics)
     forecasts, variance = pipeline_forecast(pipeline, fitted, history, dalmp_future, horizon)
-    columns = {"timestamp": map(forecasts.timestamp_at, range(len(forecasts))),
-               "forecast": forecasts.values, "variance": variance}
+    columns = {"timestamp": forecasts, "forecast": forecasts.values, "variance": variance}
     write_text(args.out, csv_table(columns, floats=("forecast", "variance")))
     print(f"wrote {len(forecasts)}-hour forecast from {format_hour(origin)} to {args.out}")
     return 0

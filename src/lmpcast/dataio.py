@@ -229,8 +229,22 @@ def load_lmp_csv(path, gap_policy: str = "reject", node: str = "NODE") -> Market
     )
 
 
+def _hour_cells(series: HourlySeries) -> list[str]:
+    """The hours of ``series`` as :func:`format_hour` renders them, in one array operation.
+
+    numpy writes a year below 1000 with four digits and ``strftime`` without
+    leading zeros, so a series that starts before year 1000 keeps ``format_hour``.
+    """
+    if series.start.year < 1000:
+        return [format_hour(series.timestamp_at(i)) for i in range(len(series))]
+    hours = np.datetime64(series.start.replace(tzinfo=None), "h") + np.arange(len(series))
+    return (np.datetime_as_string(hours, unit="m") + "Z").tolist()
+
+
 def _cells(values: Iterable, floats: bool) -> list[str]:
     """One column's values as cells, in the one format picked for the column."""
+    if isinstance(values, HourlySeries):
+        return _hour_cells(values)
     values = values.tolist() if isinstance(values, np.ndarray) else list(values)
     present = next((v for v in values if v is not None), None)
     render = "{:.6f}".format if floats else format_hour if isinstance(present, datetime) else str
@@ -242,8 +256,9 @@ def csv_table(columns: Mapping[str, Iterable], floats: Collection[str] = ()) -> 
 
     The columns named in ``floats`` are written at six decimal places. In
     the others a datetime is written as :func:`format_hour` renders it, and
-    an integer or a text as it is. A missing value (None) is an empty cell.
-    Lines end in LF.
+    an integer or a text as it is. A column given as an :class:`HourlySeries`
+    is that series' hours. A missing value (None) is an empty cell. Lines
+    end in LF.
     """
     cells = [_cells(values, name in floats) for name, values in columns.items()]
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
@@ -261,7 +276,7 @@ def write_text(path, text: str) -> None:
 def write_lmp_csv(dataset: MarketDataset, path) -> None:
     """Write a dataset in the load_lmp_csv schema."""
     da, rt = dataset.dalmp, dataset.rtlmp
-    columns = dict(zip(_HEADER, (map(da.timestamp_at, range(len(da))), da.values, rt.values)))
+    columns = dict(zip(_HEADER, (da, da.values, rt.values)))
     write_text(path, csv_table(columns, floats=_HEADER[1:]))
 
 
@@ -298,7 +313,7 @@ def export_plot_data(kind: str, path, **inputs) -> None:
         baseline: HourlySeries = inputs["baseline"]
         require_aligned(actual, forecast)
         require_aligned(actual, baseline)
-        columns = {"timestamp": map(actual.timestamp_at, range(len(actual))), "actual": actual.values,
+        columns = {"timestamp": actual, "actual": actual.values,
                    "forecast": forecast.values, "baseline": baseline.values}
         floats = ("actual", "forecast", "baseline")
     else:

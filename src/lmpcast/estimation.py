@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
-from scipy.optimize import minimize
 
 from .arima import (
     ExogenousMatrix,
@@ -183,6 +181,8 @@ def _yule_walker(x: np.ndarray, order: int, spacing: int = 1) -> np.ndarray:
     g = _autocovariances(x, lags)
     if g[0] <= 0.0:
         return np.zeros(order)
+    from scipy.linalg import solve_toeplitz  # here, so a command that fits nothing never imports it
+
     try:
         a = solve_toeplitz(g[:-1], g[1:])
     except np.linalg.LinAlgError:
@@ -217,6 +217,8 @@ def _starting_vector(spec: ModelSpec, w: np.ndarray, start: ParameterVector | No
 
 def _run_simplex(objective, x0: np.ndarray, options: FitOptions):
     """Best of ``options.restarts`` simplex runs; deterministic given seed."""
+    from scipy.optimize import minimize  # here, so a command that fits nothing never imports it
+
     rng = np.random.default_rng(options.seed)
     best = None
     for attempt in range(options.restarts):

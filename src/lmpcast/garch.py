@@ -17,10 +17,9 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidParameters
-from .lagpoly import integrate_array, past_terms
+from .lagpoly import integrate_array, lfilter, past_terms
 from .series import HourlySeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -239,7 +238,7 @@ def _expected_path(
     a = np.concatenate([[1.0], -persistence])
     known = past_terms(np.concatenate([[0.0], alpha]), eps2, horizon)
     known += past_terms(np.concatenate([[0.0], beta]), past, horizon)
-    return lfilter([1.0], a, alpha0 + known, axis=-1)
+    return lfilter([1.0], a, alpha0 + known)
 
 
 def attach_garch(

@@ -11,17 +11,23 @@ as ``{0: 1, 1: -phi}`` - the minus signs live in the stored coefficients.
 
 The sparse map is the public algebra; computation reads dense ascending-lag
 arrays, and every recursion that continues from past values runs as one
-``lfilter`` call started by :func:`past_terms`.
+:func:`lfilter` call started by :func:`past_terms`. :func:`lfilter` is the
+package's one filter entry point: SciPy's C routine behind
+``scipy.signal.lfilter``, loaded from its extension file so that the
+``scipy.signal`` package ``__init__``, which imports ``scipy.stats`` and
+more, never runs.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.linalg import hankel
-from scipy.signal import lfilter
+import scipy
 
 from .errors import InsufficientPresample, SeriesTooShort
 from .series import HOUR, HourlySeries
@@ -35,8 +41,51 @@ __all__ = [
     "difference_polynomial",
     "integrate",
     "is_stable",
+    "lfilter",
     "past_terms",
 ]
+
+
+def _load_linear_filter(directory: str):
+    """``_linear_filter`` of the ``_sigtools`` extension in ``directory`` (``scipy/signal``).
+
+    Only the extension file is loaded, so the ``scipy.signal`` package
+    ``__init__`` never runs. A missing extension or routine is an
+    ImportError naming the installed SciPy.
+    """
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec("scipy.signal._sigtools")
+    routine = None
+    if spec is not None:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        routine = getattr(module, "_linear_filter", None)
+    if routine is None:
+        raise ImportError(
+            f"lmpcast filters through SciPy's C routine _sigtools._linear_filter, "
+            f"which SciPy {scipy.__version__} does not provide in {directory}"
+        )
+    return routine
+
+
+_linear_filter = _load_linear_filter(os.path.join(os.path.dirname(scipy.__file__), "signal"))
+
+
+def lfilter(b, a, x, zi=None):
+    """``scipy.signal.lfilter(b, a, x, axis=-1, zi=zi)`` on float64 input; with ``zi``, ``(y, zf)``.
+
+    A one-term denominator without ``zi`` runs one ``np.convolve(b / a[0],
+    row)`` per row of ``x``, as SciPy's wrapper does, and every other call
+    SciPy's C routine, so each form the package uses equals SciPy bit for bit.
+    """
+    b = np.atleast_1d(b)
+    a = np.atleast_1d(a)
+    x = np.asarray(x)
+    if a.shape[0] == 1 and zi is None:
+        b = b / a[0]
+        n = x.shape[-1]
+        return np.array([np.convolve(b, row) for row in x.reshape(-1, n)]).reshape(*x.shape[:-1], -1)[..., :n]
+    return _linear_filter(b, a, x, -1) if zi is None else _linear_filter(b, a, x, -1, np.asarray(zi))
+
 
 @dataclass(frozen=True)
 class LagPolynomial:
@@ -207,7 +256,9 @@ def past_terms(coeffs: np.ndarray, past: np.ndarray, n: int | None = None) -> np
     to ``k``; later outputs are zero. Negated, it is ``lfiltic``'s state.
     """
     k = coeffs.shape[0] - 1
-    return past[..., ::-1] @ hankel(coeffs[1:], np.zeros(k if n is None else n))
+    n = k if n is None else n
+    c = np.concatenate([coeffs[1:], np.zeros(n)])
+    return past[..., ::-1] @ c[np.arange(k)[:, None] + np.arange(n)]
 
 
 def integrate_array(diff: np.ndarray, presample: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -219,7 +270,7 @@ def integrate_array(diff: np.ndarray, presample: np.ndarray, a: np.ndarray) -> n
     """
     if a.shape[0] == 1:
         return diff
-    return lfilter([1.0], a, diff, axis=-1, zi=-past_terms(a, presample))[0]
+    return lfilter([1.0], a, diff, zi=-past_terms(a, presample))[0]
 
 
 def is_stable(poly: LagPolynomial | np.ndarray, tolerance: float = 1e-8) -> StabilityResult:

@@ -7,6 +7,9 @@ stateless subcommands hand artifacts to each other.
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -276,6 +279,23 @@ class TestSynth:
             ["synth", "--config", ws.config, "--seed", "7", "--out", str(other)]
         ) == 0
         assert other.read_bytes() != (ws.root / "data.csv").read_bytes()
+
+    def test_start_up_and_synth_leave_signal_optimize_and_linalg_unimported(self, ws, tmp_path):
+        # a fresh interpreter: this one has imported them for other tests
+        script = (
+            "import json, sys\n"
+            "HEAVY = ('scipy.signal', 'scipy.optimize', 'scipy.linalg')\n"
+            "import lmpcast.cli\n"
+            "after_import = [m for m in HEAVY if m in sys.modules]\n"
+            f"code = lmpcast.cli.main(['synth', '--config', {ws.config!r}, '--out', {str(tmp_path / 'x.csv')!r}])\n"
+            "print(json.dumps([code, after_import, [m for m in HEAVY if m in sys.modules]]))\n"
+        )
+        src = str(Path(lmpcast.cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout.splitlines()[-1]) == [0, [], []]
+        assert (tmp_path / "x.csv").read_bytes() == (ws.root / "data.csv").read_bytes()
 
     def test_effective_config_logged(self, ws, tmp_path, caplog):
         out = tmp_path / "log.csv"

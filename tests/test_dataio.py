@@ -10,6 +10,7 @@ from lmpcast.arima import ModelSpec, ParameterVector
 from lmpcast.dataio import (
     MarketDataset,
     SynthConfig,
+    csv_table,
     export_plot_data,
     load_lmp_csv,
     synth_market,
@@ -197,6 +198,16 @@ class TestWriteCsv:
             b"2015-01-05T00:00Z,25.100000,24.800000\n"
             b"2015-01-05T01:00Z,24.300000,26.000000\n"
         )
+
+    @pytest.mark.parametrize("start", [
+        datetime(2016, 2, 28, 20, tzinfo=timezone.utc),  # leap day
+        datetime(2015, 12, 31, 20, tzinfo=timezone.utc),  # year boundary
+        datetime(999, 12, 31, 20, tzinfo=timezone.utc),  # numpy and strftime pad years below 1000 differently
+    ], ids=["leap-day", "year-boundary", "year-999-to-1000"])
+    def test_series_column_renders_its_hours_as_format_hour_does(self, start):
+        hours = series(np.zeros(60), start)
+        one_at_a_time = [format_hour(hours.timestamp_at(i)) for i in range(len(hours))]
+        assert csv_table({"timestamp": hours}) == "\n".join(["timestamp", *one_at_a_time]) + "\n"
 
     def test_round_trip_within_serialization_precision(self, tmp_path):
         rng = np.random.default_rng(30)

@@ -1,11 +1,16 @@
-"""Backshift polynomial algebra: multiply, difference, integrate, past terms, stability."""
+"""Backshift polynomial algebra: multiply, difference, integrate, past terms, the filter entry point, stability."""
 
+import re
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+import scipy
+import scipy.signal
+from scipy.linalg import hankel
 from scipy.signal import lfiltic
 
+from lmpcast import lagpoly
 from lmpcast.errors import InsufficientPresample, SeriesTooShort
 from lmpcast.lagpoly import (
     DifferenceSpec,
@@ -14,6 +19,7 @@ from lmpcast.lagpoly import (
     difference_polynomial,
     integrate,
     is_stable,
+    lfilter,
     multiply,
     past_terms,
 )
@@ -209,6 +215,14 @@ class TestPastTerms:
         np.testing.assert_allclose(past_terms(coeffs, past[3]), self.reference(coeffs, past[3]),
                                    rtol=1e-14, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [None, 3, 30])
+    def test_equals_the_hankel_product(self, n):
+        coeffs = seasonal_array()
+        past = np.random.default_rng(17).normal(size=(4, 25))
+        k = coeffs.shape[0] - 1
+        expected = past[..., ::-1] @ hankel(coeffs[1:], np.zeros(k if n is None else n))
+        np.testing.assert_array_equal(past_terms(coeffs, past, n), expected)
+
     def test_degree_zero_has_no_terms(self):
         assert past_terms(np.array([1.0]), np.empty(0)).shape == (0,)
         assert self.reference(np.array([1.0]), np.empty(0)).shape == (0,)
@@ -235,6 +249,53 @@ class TestPastTerms:
         forced = x[60:].copy()
         forced[:k] -= past_terms(a, whole[60 - k : 60])
         np.testing.assert_allclose(lfilter([1.0], a, forced), whole[60:], rtol=1e-12, atol=1e-12)
+
+
+class TestFilter:
+    """``lagpoly.lfilter`` equals ``scipy.signal.lfilter`` bit for bit on every call form ``src/`` uses."""
+
+    # (b, a, shape of x): the MA inverse and GARCH variance (one-term
+    # numerator), ``simulate``'s ARMA, the MA inverse over stacked rows,
+    # ``OriginForecasts.variance``'s ``psi**2`` (one-term denominator) and
+    # a model with no AR, MA or differencing (one term each)
+    FORMS = {
+        "inverse-1d": ([1.0], seasonal_array(), (300,)),
+        "arma-1d": ([1.0, 0.4, -0.2], [1.0, -0.5, 0.1], (300,)),
+        "inverse-2d": ([1.0], seasonal_array(), (4, 300)),
+        "unit-denominator-1d": ([0.8, 0.3, 0.1, 0.05], [1.0], (30,)),
+        "unit-denominator-2d": ([0.8, 0.3, 0.1, 0.05], [1.0], (4, 30)),
+        "one-term-each": ([1.0], [1.0], (4, 30)),
+    }
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_equals_scipy(self, form):
+        b, a, shape = self.FORMS[form]
+        x = np.random.default_rng(18).normal(size=shape)
+        np.testing.assert_array_equal(lfilter(np.array(b), np.array(a), x), scipy.signal.lfilter(b, a, x))
+
+    def test_broadcast_variances_equal_scipy(self):
+        # the per-origin plan arrives as a read-only broadcast view
+        psi = np.array([1.0, 0.7, 0.35, 0.1])
+        for given in (np.asarray(0.3), np.linspace(0.1, 0.5, 6)[:, None]):
+            s2 = np.broadcast_to(given, (6, 12))
+            np.testing.assert_array_equal(lfilter(psi**2, [1.0], s2), scipy.signal.lfilter(psi**2, [1.0], s2))
+
+    @pytest.mark.parametrize("shape", [(300,), (4, 300)], ids=["1d", "2d"])
+    def test_with_initial_state_equals_scipy(self, shape):
+        # ``integrate_array``'s form: a continued recursion
+        a, b = seasonal_array(), np.array([1.0])
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=shape)
+        zi = rng.normal(size=shape[:-1] + (a.shape[0] - 1,))
+        got = lfilter(b, a, x, zi=zi)
+        expected = scipy.signal.lfilter(b, a, x, zi=zi)
+        assert len(got) == 2
+        for mine, theirs in zip(got, expected):
+            np.testing.assert_array_equal(mine, theirs)
+
+    def test_missing_extension_names_the_scipy_version(self, tmp_path):
+        with pytest.raises(ImportError, match=re.escape(f"SciPy {scipy.__version__} ")):
+            lagpoly._load_linear_filter(str(tmp_path))
 
 
 class TestStability:

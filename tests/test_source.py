@@ -1,8 +1,9 @@
 """Source checks on ``src/lmpcast``: no private module-level definition is dead
 code, the recursions compute on dense lag arrays, JSON values are typed
 only by the field tables' leaf readers, CSV cells are formatted only by
-``dataio``'s table writer, and a regressor matrix's column count is read only
-by ``arima``'s regressor rule."""
+``dataio``'s table writer, a regressor matrix's column count is read only
+by ``arima``'s regressor rule, and start-up imports no ``scipy.signal``,
+``scipy.optimize`` or ``scipy.linalg``, with one ``lfilter`` in the package."""
 
 import ast
 from pathlib import Path
@@ -113,6 +114,49 @@ def column_count_reads(modules):
     return found
 
 
+# the one filter entry point: a top-level function of this module
+FILTER = ("lagpoly.py", "lfilter")
+# never imported: the filter loads SciPy's C routine without this package
+NEVER_IMPORTED = ("scipy.signal",)
+# imported only inside function bodies, so that start-up skips them
+FIT_TIME = ("scipy.optimize", "scipy.linalg")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _under(names, packages):
+    return any(n == p or n.startswith(p + ".") for n in names for p in packages)
+
+
+def _loaded(node):
+    """Dotted names an absolute import loads: ``from a import b`` may load ``a.b``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.level:
+        return []
+    return [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+
+
+def scipy_imports_and_filters(modules):
+    """``module:line what`` of each import of ``scipy.signal``, each import of
+    ``scipy.optimize`` or ``scipy.linalg`` outside a function body, and each
+    ``lfilter`` defined anywhere but at the top level of ``lagpoly.py``."""
+    found = []
+    for module, tree in modules:
+        in_functions = {id(sub) for node in ast.walk(tree) if isinstance(node, (*DEFS, ast.Lambda))
+                        for sub in ast.walk(node) if sub is not node}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = _loaded(node)
+                if _under(names, NEVER_IMPORTED):
+                    found.append((module, node.lineno, "scipy.signal"))
+                elif id(node) not in in_functions and _under(names, FIT_TIME):
+                    found.append((module, node.lineno, "start-up import"))
+            elif isinstance(node, DEFS) and node.name == FILTER[1]:
+                if (module, node in tree.body) != (FILTER[0], True):
+                    found.append((module, node.lineno, "lfilter"))
+    return [f"{module}:{line} {what}" for module, line, what in sorted(found)]
+
+
 def parse_src():
     return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
 
@@ -191,4 +235,32 @@ def test_check_sees_a_column_count_outside_the_rule():
     backtest = ast.parse("def _check_exog_count(exog):\n    return len(exog.columns), exog.r\n")
     assert column_count_reads([("arima.py", arima), ("backtest.py", backtest)]) == [
         "arima.py:5", "backtest.py:2",
+    ]
+
+
+def test_start_up_imports_no_scipy_signal_optimize_or_linalg_and_one_lfilter():
+    modules = parse_src()
+    lagpoly = dict(modules)[FILTER[0]]
+    assert [n.name for n in lagpoly.body if isinstance(n, ast.FunctionDef)].count(FILTER[1]) == 1
+    assert scipy_imports_and_filters(modules) == []
+
+
+def test_check_sees_scipy_imports_and_a_second_lfilter():
+    lagpoly = ast.parse(
+        "import scipy\n\n"
+        "def lfilter(b, a, x):\n    return x\n\n"
+        "class Filters:\n    def lfilter(self):\n        from scipy.linalg import hankel\n"
+    )
+    estimation = ast.parse(
+        "from scipy import optimize\n"
+        "from .lagpoly import lfilter\n\n"
+        "if True:\n    import scipy.linalg as la\n\n"
+        "def fit(x):\n    from scipy.optimize import minimize\n    from scipy.signal import lfilter\n"
+        "    return minimize, lambda: __import__('scipy.linalg')\n"
+    )
+    arima = ast.parse("import scipy.signal._sigtools\n\ndef lfilter(b, a, x):\n    return x\n")
+    assert scipy_imports_and_filters([("lagpoly.py", lagpoly), ("estimation.py", estimation), ("arima.py", arima)]) == [
+        "arima.py:1 scipy.signal", "arima.py:3 lfilter",
+        "estimation.py:1 start-up import", "estimation.py:5 start-up import", "estimation.py:9 scipy.signal",
+        "lagpoly.py:7 lfilter",
     ]
