@@ -52,7 +52,7 @@ from .lagpoly import (
     multiply,
     past_terms,
 )
-from .series import HOUR, HourlySeries
+from .series import HOUR, HourlySeries, format_hour
 
 __all__ = [
     "ModelSpec",
@@ -459,7 +459,7 @@ def simulate(
         need = n + burn + k
         if len(exog) < need or exog.columns[0].end != start + HOUR * n:
             raise AlignmentError(
-                f"exogenous window must end at {(start + HOUR * n).isoformat()} "
+                f"exogenous window must end at {format_hour(start + HOUR * n)} "
                 f"and hold at least {need} hours"
             )
         U = np.column_stack(

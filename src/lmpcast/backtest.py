@@ -200,26 +200,11 @@ def restore_pipeline_fit(
 
 @dataclass(frozen=True)
 class ModelForecasts:
-    """A pipeline's forecasts on the modeled scale from many origins of one history.
+    """A pipeline's forecasts on the modeled scale: row ``i`` holds the
+    1..horizon step means and forecast-error variances from origin ``i``."""
 
-    Row ``i`` holds the 1..horizon step means and forecast-error variances
-    from the origin that has seen the first ``origins[i]`` hours of the
-    history starting at ``start``.
-    """
-
-    start: datetime
-    origins: np.ndarray
     mean: np.ndarray
     variance: np.ndarray
-
-    def row(self, history: MarketDataset, horizon: int) -> int:
-        """Row of the origin at the end of ``history``."""
-        i = int(np.searchsorted(self.origins, len(history)))
-        if history.start != self.start or i == self.origins.shape[0] or self.origins[i] != len(history):
-            raise AlignmentError(f"no forecast from an origin at {history.end.isoformat()}")
-        if horizon > self.mean.shape[1]:
-            raise ValueError(f"horizon {horizon} exceeds the {self.mean.shape[1]} forecast steps")
-        return i
 
 
 def model_forecasts(
@@ -247,7 +232,27 @@ def model_forecasts(
         fitted.spec, fitted.params, modeled, exog_window(config, dalmp), origins, horizon
     )
     variance = paths.variance(_innovation_variances(fitted, paths, horizon))
-    return ModelForecasts(history.start, origins, paths.mean, variance)
+    return ModelForecasts(paths.mean, variance)
+
+
+def _prices(
+    config: PipelineConfig, mean: np.ndarray, variance: np.ndarray, dalmp_ahead: np.ndarray
+) -> np.ndarray:
+    """Real-time prices from modeled-scale forecasts, elementwise on arrays of any shape.
+
+    Inverts the log transform (the mean plus half the variance under the
+    lognormal correction) and, for the differential kinds, reconstructs
+    ``rtlmp' = dalmp - delta'`` against the day-ahead prices of the same
+    hours; the other kinds ignore ``dalmp_ahead``.
+    """
+    point = mean
+    if config.log_offset is not None:
+        if config.lognormal_correction:
+            point = point + 0.5 * variance
+        point = np.exp(point) - config.log_offset.c
+    if config.kind in _DELTA_KINDS:
+        point = dalmp_ahead - point
+    return point
 
 
 def pipeline_forecast(
@@ -256,7 +261,6 @@ def pipeline_forecast(
     history: MarketDataset,
     dalmp_future: HourlySeries | None,
     horizon: int,
-    shared: ModelForecasts | None = None,
 ) -> tuple[HourlySeries, np.ndarray]:
     """Real-time price forecasts for the ``horizon`` hours after the history.
 
@@ -266,11 +270,6 @@ def pipeline_forecast(
     price forecasts and the forecast-error variances on the modeled
     (possibly log) scale; the ``oracle`` kind has no forecast function and
     is only meaningful inside :func:`rolling_backtest`.
-
-    ``shared`` holds :func:`model_forecasts` of a history that this one
-    begins, from origins that include its end; the forecast then reads
-    that origin's row instead of filtering the history again, which is how
-    a fit-once backtest forecasts every origin from one pass.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -282,28 +281,19 @@ def pipeline_forecast(
             raise AlignmentError(f"{config.kind} needs future day-ahead prices")
         if dalmp_future.start != history.end or len(dalmp_future) < horizon:
             raise AlignmentError(
-                f"future day-ahead window must start {history.end.isoformat()} "
+                f"future day-ahead window must start {format_hour(history.end)} "
                 f"and cover {horizon} hours"
             )
         dalmp_future = dalmp_future.window(0, horizon)
         if config.kind == "baseline":
             return dalmp_future, np.zeros(horizon)
-        if shared is None:
-            dalmp = concat(dalmp, dalmp_future)
+        dalmp = concat(dalmp, dalmp_future)
 
     if fitted is None:
         raise ValueError(f"{config.kind} pipelines require a fitted model")
-    if shared is None:
-        shared = model_forecasts(config, fitted, history, dalmp, [len(history)], horizon)
-    row = shared.row(history, horizon)
-    variance = shared.variance[row, :horizon]
-    point = shared.mean[row, :horizon]
-    if config.log_offset is not None:
-        if config.lognormal_correction:
-            point = point + 0.5 * variance
-        point = np.exp(point) - config.log_offset.c
-    if config.kind in _DELTA_KINDS:
-        point = dalmp_future.values - point
+    forecasts = model_forecasts(config, fitted, history, dalmp, [len(history)], horizon)
+    variance = forecasts.variance[0]
+    point = _prices(config, forecasts.mean[0], variance, dalmp.values[len(history):])
     return HourlySeries(history.end, point, UNITS_PRICE), variance
 
 
@@ -414,7 +404,9 @@ def rolling_backtest(
     the history up to that origin, starting each search from the previous
     origin's estimate. Either way each origin conditions on all prices
     observed before it, and forecast steps falling beyond the test window
-    are dropped. The report counts the fits and their diagnostics.
+    are dropped. Every origin's modeled-scale forecasts form one block that
+    is turned into prices in one step. The report counts the fits and their
+    diagnostics.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -423,15 +415,18 @@ def rolling_backtest(
         raise ValueError(f"horizon {horizon} exceeds test window of {n_test} hours")
     if refit not in ("fit-once", "rolling"):
         raise ValueError(f"refit must be 'fit-once' or 'rolling', got {refit!r}")
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must be positive")
     if test.start != train.end:
         raise AlignmentError(
-            f"train ends {train.end.isoformat()} but test starts {test.start.isoformat()}"
+            f"train ends {format_hour(train.end)} but test starts {format_hour(test.start)}"
         )
 
     fits: list[Diagnostics] = []
+    starts = np.arange(n_test)
     if config.kind in DEGENERATE_KINDS:
         source = test.dalmp if config.kind == "baseline" else test.rtlmp
-        forecasts = _ahead(source.values, np.arange(n_test), horizon)
+        forecasts = _ahead(source.values, starts, horizon)
     else:
         fitted = fit_pipeline(config, train, options)
         fits.append(fitted.diagnostics)
@@ -439,28 +434,31 @@ def rolling_backtest(
             concat(train.dalmp, test.dalmp), concat(train.rtlmp, test.rtlmp), train.node
         )
         n_train = len(train)
-        shared = None
         if refit == "fit-once":
             # one filter pass serves every origin; the last test hour is
             # never history, so it is not transformed
-            shared = model_forecasts(
+            block = model_forecasts(
                 config,
                 fitted,
                 data.window(0, n_train + n_test - 1),
                 data.dalmp,
-                np.arange(n_train, n_train + n_test),
+                n_train + starts,
                 horizon,
             )
-        forecasts = np.full((n_test, horizon), np.nan)
-        for origin in range(n_test):
-            steps = min(horizon, n_test - origin)
-            history = data.window(0, n_train + origin)
-            if refit == "rolling" and origin > 0:
-                fitted = fit_pipeline(config, history, options, start=fitted.params)
-                fits.append(fitted.diagnostics)
-            future_da = test.dalmp.window(origin, steps)
-            prices, _ = pipeline_forecast(config, fitted, history, future_da, steps, shared)
-            forecasts[origin, :steps] = prices.values
+        else:
+            block = ModelForecasts(np.full((n_test, horizon), np.nan), np.full((n_test, horizon), np.nan))
+            for origin in range(n_test):
+                steps = min(horizon, n_test - origin)
+                history = data.window(0, n_train + origin)
+                if origin > 0:
+                    fitted = fit_pipeline(config, history, options, start=fitted.params)
+                    fits.append(fitted.diagnostics)
+                row = model_forecasts(
+                    config, fitted, history, data.dalmp.window(0, len(history) + steps), [len(history)], steps
+                )
+                block.mean[origin, :steps] = row.mean[0]
+                block.variance[origin, :steps] = row.variance[0]
+        forecasts = _prices(config, block.mean, block.variance, _ahead(test.dalmp.values, starts, horizon))
 
     improvements, maes, excluded = [], [], []
     for step in range(1, horizon + 1):

@@ -16,7 +16,10 @@ from typing import Any, Mapping
 from .arima import ModelSpec, ParameterVector
 from .backtest import DEGENERATE_KINDS, MODEL_KINDS, PipelineConfig, exog_count
 from .dataio import MarketDataset, SynthConfig
-from .errors import Field, MissingKey, SchemaError, boolean, integer, list_of, number, numbers, read_fields, text
+from .errors import (
+    Field, MissingKey, SchemaError, boolean, integer, list_of, non_negative_integer, number, numbers, read_fields,
+    text,
+)
 from .estimation import Diagnostics, FitOptions, FittedModel
 from .garch import GarchParams, GarchSpec
 from .lagpoly import DifferenceSpec
@@ -135,7 +138,7 @@ _SCHEMA: dict[str, Any] = {
     "test_start": Field(parse_hour, nullable=True),
     "test_end": Field(parse_hour, nullable=True),
     "horizon": integer,
-    "seed": integer,
+    "seed": non_negative_integer,
     "gap_policy": text,
     "epsilon": number,
     "refit": text,

@@ -92,6 +92,14 @@ def integer(value: Any) -> int:
     return int(value)
 
 
+def non_negative_integer(value: Any) -> int:
+    """A JSON integer that is zero or more, such as a random seed."""
+    value = integer(value)
+    if value < 0:
+        raise ValueError("expected a non-negative integer")
+    return value
+
+
 def number(value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("expected a number")

@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from .errors import InsufficientPresample, SeriesTooShort
-from .series import HOUR, HourlySeries
+from .series import HOUR, HourlySeries, format_hour
 
 __all__ = [
     "LagPolynomial",
@@ -242,7 +242,7 @@ def integrate(
     if presample.end != differenced.start:
         raise InsufficientPresample(
             f"presample must end immediately before the differenced window: "
-            f"presample end {presample.end.isoformat()} vs start {differenced.start.isoformat()}"
+            f"presample end {format_hour(presample.end)} vs start {format_hour(differenced.start)}"
         )
     out = integrate_array(differenced.values, presample.values[-k:], poly.dense())
     return HourlySeries(differenced.start, out, presample.units)

@@ -101,7 +101,7 @@ class HourlySeries:
         offset = (ts - self.start) / HOUR
         idx = int(offset)
         if offset != idx or not 0 <= idx < len(self):
-            raise AlignmentError(f"{ts.isoformat()} is not an hour of this series")
+            raise AlignmentError(f"{format_hour(ts)} is not an hour of this series")
         return idx
 
     def window(self, index: int, length: int) -> "HourlySeries":
@@ -131,8 +131,8 @@ class HourlySeries:
 def require_aligned(a: HourlySeries, b: HourlySeries) -> None:
     if not a.same_calendar(b):
         raise AlignmentError(
-            f"series are not aligned: [{a.start.isoformat()}, n={len(a)}] vs "
-            f"[{b.start.isoformat()}, n={len(b)}]"
+            f"series are not aligned: [{format_hour(a.start)}, n={len(a)}] vs "
+            f"[{format_hour(b.start)}, n={len(b)}]"
         )
 
 
@@ -173,8 +173,8 @@ def concat(first: HourlySeries, second: HourlySeries) -> HourlySeries:
     """Join two back-to-back series into one."""
     if second.start != first.end:
         raise AlignmentError(
-            f"series are not contiguous: first ends {first.end.isoformat()}, "
-            f"second starts {second.start.isoformat()}"
+            f"series are not contiguous: first ends {format_hour(first.end)}, "
+            f"second starts {format_hour(second.start)}"
         )
     if first.units != second.units:
         raise ValueError(f"units differ: {first.units!r} vs {second.units!r}")

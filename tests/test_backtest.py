@@ -378,6 +378,16 @@ class TestRollingBacktest:
                 config, data.window(0, 280), data.window(280, 20), 2, refit="daily"
             )
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-6, float("nan")])
+    def test_epsilon_rejected_before_any_fit(self, epsilon, monkeypatch):
+        data = bench_market(300, seed=23)
+        fits = []
+        monkeypatch.setattr(backtest, "fit_pipeline", lambda *args, **kwargs: fits.append(args))
+        config = PipelineConfig(kind="arma_delta", spec=ModelSpec(p=1))
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            rolling_backtest(config, data.window(0, 280), data.window(280, 20), 2, epsilon=epsilon)
+        assert fits == []
+
     def test_baseline_zero_and_oracle_hundred(self):
         data = bench_market(400, seed=24)
         train, test = data.window(0, 352), data.window(352, 48)

@@ -200,9 +200,12 @@ class TestMalformedRunConfig:
             ("fit", "order", {"p": 1.7}, "order.p = 1.7: expected an integer"),
             ("fit", "order", {"p": True}, "order.p = True: expected an integer"),
             ("fit", "constant", "false", "constant = 'false': expected true or false"),
+            ("fit", "test_start", "2002-12-02T00:00Z", "2002-12-02T00:00Z is not an hour of this series"),
+            ("backtest", "epsilon", 0.0, "epsilon must be positive"),
         ],
         ids=["clip-without-lb", "garch-without-q", "clip-number", "test_start-number", "grid-one-bound",
-             "order-string", "order-fraction", "order-boolean", "constant-string"],
+             "order-string", "order-fraction", "order-boolean", "constant-string", "test_start-outside-data",
+             "epsilon-zero"],
     )
     def test_malformed_value_exits_one_naming_its_key(self, ws, tmp_path, capsys, command, key, value, message):
         config = write_config(tmp_path, "bad.json", **{key: value})
@@ -210,6 +213,21 @@ class TestMalformedRunConfig:
         assert main([command, "--config", config, "--data", ws.data, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "fit"])
+    @pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+    def test_negative_seed_exits_one_naming_it(self, ws, tmp_path, capsys, command, in_config):
+        # a constant-only spec never draws from the seed, and is rejected all the same
+        overrides = {"order": {"p": 0, "q": 0}, **({"seed": -1} if in_config else {})}
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, "seed.json", **overrides), "--out", str(out)]
+        argv += ["--data", ws.data] if command == "fit" else []
+        argv += [] if in_config else ["--seed", "-1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: seed = -1: expected a non-negative integer" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -11,7 +11,9 @@ from lmpcast import config as cfg
 from lmpcast.arima import ModelSpec, ParameterVector
 from lmpcast.backtest import PipelineConfig, fit_pipeline
 from lmpcast.dataio import MarketDataset, synth_market
-from lmpcast.errors import AlignmentError, MissingKey, SchemaError, boolean, integer, number, read_fields
+from lmpcast.errors import (
+    AlignmentError, MissingKey, SchemaError, boolean, integer, non_negative_integer, number, read_fields,
+)
 from lmpcast.estimation import FitOptions
 from lmpcast.garch import GarchSpec
 from lmpcast.series import UNITS_PRICE, HourlySeries
@@ -81,10 +83,16 @@ class TestLeafReaders:
     @pytest.mark.parametrize("read, value", [
         (integer, True), (integer, 1.7), (integer, "2"), (integer, math.inf), (integer, math.nan), (integer, None),
         (number, False), (number, "1.5"), (number, [1.0]), (boolean, "false"), (boolean, 0), (boolean, None),
+        (non_negative_integer, True), (non_negative_integer, 0.5),
     ])
     def test_wrong_type_raises_type_error(self, read, value):
         with pytest.raises(TypeError):
             read(value)
+
+    @pytest.mark.parametrize("value", [-1, -1.0])
+    def test_negative_seed_is_a_schema_error_naming_it(self, value):
+        with pytest.raises(SchemaError, match=r"^seed = -1(\.0)?: expected a non-negative integer$"):
+            cfg.build_fit_options(cfg.merge_config({"seed": value}))
 
     def test_overflowing_number_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="epsilon = 1000"):

@@ -15,11 +15,16 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from lmpcast import arima
+from lmpcast import arima, backtest
 from lmpcast.arima import ModelSpec, ParameterVector, ar_polynomial, ma_polynomial, residuals
 from lmpcast.backtest import (
     PipelineConfig,
+    _ahead,
+    _prices,
     exog_window,
+    fit_pipeline,
+    improvement_index,
+    mae,
     model_forecasts,
     pipeline_forecast,
     restore_pipeline_fit,
@@ -27,7 +32,6 @@ from lmpcast.backtest import (
     transform_target,
 )
 from lmpcast.dataio import MarketDataset, SynthConfig, synth_market
-from lmpcast.errors import AlignmentError
 from lmpcast.estimation import FitOptions
 from lmpcast.garch import GarchParams, GarchSpec, forecast_variance
 from lmpcast.lagpoly import DifferenceSpec, apply_array, difference_polynomial, integrate_array, multiply
@@ -136,18 +140,12 @@ def per_origin_backtest(config, fitted, data, n_train, horizon):
 
 
 def kernel_backtest(config, fitted, data, n_train, horizon):
-    """The same loop reading every origin from one shared filter pass."""
+    """The same forecasts from one shared filter pass, turned into prices in one step."""
     origins = np.arange(n_train, len(data))
-    shared = model_forecasts(
+    block = model_forecasts(
         config, fitted, data.window(0, len(data) - 1), data.dalmp, origins, horizon
     )
-    out = np.full((len(origins), horizon), np.nan)
-    for origin, n in enumerate(origins):
-        steps = horizon if config.kind == "sarima_rtlmp" else min(horizon, len(data) - n)
-        future = data.dalmp.window(n, steps) if steps <= len(data) - n else None
-        prices, _ = pipeline_forecast(config, fitted, data.window(0, n), future, steps, shared)
-        out[origin, :steps] = prices.values
-    return out
+    return _prices(config, block.mean, block.variance, _ahead(data.dalmp.values, origins, horizon))
 
 
 @pytest.mark.parametrize(
@@ -283,11 +281,11 @@ def test_garch_variances_follow_each_origins_backcast():
     data = market(150, seed=4)
     fitted = restore_pipeline_fit(config, data.window(0, 60), params, garch)
     origins = np.arange(60, 150)
-    shared = model_forecasts(config, fitted, data.window(0, 149), data.dalmp, origins, 5)
+    block = model_forecasts(config, fitted, data.window(0, 149), data.dalmp, origins, 5)
     want = np.array([
         per_origin_forecast(config, fitted, data.window(0, n), None, 5)[1] for n in origins
     ])
-    np.testing.assert_allclose(shared.variance, want, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(block.variance, want, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("name", ["armax_garch", "sarima"])
@@ -303,22 +301,39 @@ def test_pipeline_forecast_matches_per_origin_path(name):
     np.testing.assert_allclose(variance, want_variance, rtol=1e-12, atol=0)
 
 
-def test_shared_pass_serves_only_its_own_origins():
-    config, params, _ = CASES["arma"]
-    data = market(540, seed=5)
-    fitted = restore_pipeline_fit(config, data.window(0, 500), params)
-    shared = model_forecasts(config, fitted, data.window(0, 520), data.dalmp, [500, 510], 4)
-    prices, _ = pipeline_forecast(
-        config, fitted, data.window(0, 510), data.dalmp.window(510, 4), 4, shared
+@pytest.mark.parametrize("name", ["arma", "sarimax"])
+def test_rolling_report_matches_per_origin_refits(name, monkeypatch):
+    # every refit is recorded, each origin's prices are rebuilt from its own
+    # fit by the per-origin path, and scored as the report scores them
+    config = CASES[name][0]
+    data = market(508, seed=9)
+    n_train, n_test, horizon = 500, 8, 3
+    train, test = data.window(0, n_train), data.window(n_train, n_test)
+    fits = []
+
+    def recording(config, history, options, start=None):
+        fitted = fit_pipeline(config, history, options, start)
+        fits.append(fitted)
+        return fitted
+
+    monkeypatch.setattr(backtest, "fit_pipeline", recording)
+    report = rolling_backtest(
+        config, train, test, horizon, refit="rolling", options=FitOptions(restarts=1, max_iterations=300)
     )
-    alone, _ = pipeline_forecast(config, fitted, data.window(0, 510), data.dalmp.window(510, 4), 4)
-    np.testing.assert_allclose(prices.values, alone.values, rtol=0, atol=TOL)
-    with pytest.raises(AlignmentError):  # 505 is no origin of the pass
-        pipeline_forecast(config, fitted, data.window(0, 505), data.dalmp.window(505, 4), 4, shared)
-    with pytest.raises(AlignmentError):  # the pass's history starts elsewhere
-        pipeline_forecast(config, fitted, data.window(10, 500), data.dalmp.window(510, 4), 4, shared)
-    with pytest.raises(ValueError):  # more steps than the pass forecast
-        pipeline_forecast(config, fitted, data.window(0, 510), data.dalmp.window(510, 5), 5, shared)
+    assert len(fits) == n_test
+    forecasts = np.full((n_test, horizon), np.nan)
+    for origin, fitted in enumerate(fits):
+        steps = min(horizon, n_test - origin)
+        history = data.window(0, n_train + origin)
+        future = test.dalmp.window(origin, steps)
+        forecasts[origin, :steps], _ = per_origin_forecast(config, fitted, history, future, steps)
+    for step in range(1, horizon + 1):
+        n_terms = n_test - step + 1
+        actual = test.rtlmp.window(step - 1, n_terms)
+        forecast = actual.with_values(forecasts[:n_terms, step - 1])
+        index, _ = improvement_index(actual, forecast, test.dalmp.window(step - 1, n_terms))
+        assert report.improvement[step - 1] == pytest.approx(index, rel=0, abs=TOL)
+        assert report.mae[step - 1] == pytest.approx(mae(actual, forecast), rel=0, abs=TOL)
 
 
 def test_fit_once_filters_innovations_a_fixed_number_of_times(monkeypatch):
@@ -362,11 +377,11 @@ def test_memory_stays_linear_in_history():
     fitted = restore_pipeline_fit(config, data.window(0, 18000), params)
     tracemalloc.start()
     try:
-        shared = model_forecasts(
+        block = model_forecasts(
             config, fitted, data.window(0, 20000), data.dalmp, np.arange(18000, 20000), 12
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert shared.mean.shape == shared.variance.shape == (2000, 12)
+    assert block.mean.shape == block.variance.shape == (2000, 12)
     assert peak < 32e6

@@ -2,8 +2,9 @@
 code, the recursions compute on dense lag arrays, JSON values are typed
 only by the field tables' leaf readers, CSV cells are formatted only by
 ``dataio``'s table writer, a regressor matrix's column count is read only
-by ``arima``'s regressor rule, and start-up imports no ``scipy.signal``,
-``scipy.optimize`` or ``scipy.linalg``, with one ``lfilter`` in the package."""
+by ``arima``'s regressor rule, start-up imports no ``scipy.signal``,
+``scipy.optimize`` or ``scipy.linalg``, with one ``lfilter`` in the package,
+and hours are rendered only by ``series.format_hour``."""
 
 import ast
 from pathlib import Path
@@ -157,6 +158,13 @@ def scipy_imports_and_filters(modules):
     return [f"{module}:{line} {what}" for module, line, what in sorted(found)]
 
 
+def isoformat_uses(modules):
+    """``module:line`` of each ``isoformat`` attribute: an hour in a message is
+    written by ``series.format_hour``, in the form configs and CSVs use."""
+    return [f"{module}:{sub.lineno}" for module, tree in modules for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and sub.attr == "isoformat"]
+
+
 def parse_src():
     return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
 
@@ -264,3 +272,16 @@ def test_check_sees_scipy_imports_and_a_second_lfilter():
         "estimation.py:1 start-up import", "estimation.py:5 start-up import", "estimation.py:9 scipy.signal",
         "lagpoly.py:7 lfilter",
     ]
+
+
+def test_hours_are_rendered_only_by_format_hour():
+    assert isoformat_uses(parse_src()) == []
+
+
+def test_check_sees_isoformat():
+    series = ast.parse(
+        "def format_hour(ts):\n    return ts.strftime('%H')\n\n"
+        "def where(ts):\n    return f'{ts.isoformat()} is no hour'\n"
+    )
+    arima = ast.parse("from datetime import datetime\n\nRENDER = datetime.isoformat\n")
+    assert isoformat_uses([("series.py", series), ("arima.py", arima)]) == ["series.py:5", "arima.py:3"]
