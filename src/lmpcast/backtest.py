@@ -236,7 +236,7 @@ def model_forecasts(
 
 
 def _prices(
-    config: PipelineConfig, mean: np.ndarray, variance: np.ndarray, dalmp_ahead: np.ndarray
+    config: PipelineConfig, mean: np.ndarray, variance: np.ndarray, dalmp_ahead: np.ndarray | None
 ) -> np.ndarray:
     """Real-time prices from modeled-scale forecasts, elementwise on arrays of any shape.
 
@@ -261,6 +261,7 @@ def pipeline_forecast(
     history: MarketDataset,
     dalmp_future: HourlySeries | None,
     horizon: int,
+    modeled: ModelForecasts | None = None,
 ) -> tuple[HourlySeries, np.ndarray]:
     """Real-time price forecasts for the ``horizon`` hours after the history.
 
@@ -270,6 +271,11 @@ def pipeline_forecast(
     price forecasts and the forecast-error variances on the modeled
     (possibly log) scale; the ``oracle`` kind has no forecast function and
     is only meaningful inside :func:`rolling_backtest`.
+
+    ``modeled`` is this origin's :func:`model_forecasts` row, one row of at
+    least ``horizon`` steps, when it is already known; the history is then
+    not filtered again, which is how a fit-once backtest forecasts every
+    origin from one pass.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -287,13 +293,18 @@ def pipeline_forecast(
         dalmp_future = dalmp_future.window(0, horizon)
         if config.kind == "baseline":
             return dalmp_future, np.zeros(horizon)
-        dalmp = concat(dalmp, dalmp_future)
+        if modeled is None:
+            dalmp = concat(dalmp, dalmp_future)
 
     if fitted is None:
         raise ValueError(f"{config.kind} pipelines require a fitted model")
-    forecasts = model_forecasts(config, fitted, history, dalmp, [len(history)], horizon)
-    variance = forecasts.variance[0]
-    point = _prices(config, forecasts.mean[0], variance, dalmp.values[len(history):])
+    if modeled is None:
+        modeled = model_forecasts(config, fitted, history, dalmp, [len(history)], horizon)
+    elif modeled.mean.shape[0] != 1 or modeled.mean.shape[1] < horizon:
+        raise ValueError(f"modeled forecasts must be one origin's row of at least {horizon} steps")
+    variance = modeled.variance[0, :horizon]
+    dalmp_ahead = dalmp_future.values if config.kind in _DELTA_KINDS else None
+    point = _prices(config, modeled.mean[0, :horizon], variance, dalmp_ahead)
     return HourlySeries(history.end, point, UNITS_PRICE), variance
 
 
@@ -404,9 +415,9 @@ def rolling_backtest(
     the history up to that origin, starting each search from the previous
     origin's estimate. Either way each origin conditions on all prices
     observed before it, and forecast steps falling beyond the test window
-    are dropped. Every origin's modeled-scale forecasts form one block that
-    is turned into prices in one step. The report counts the fits and their
-    diagnostics.
+    are dropped. Every origin's prices come from :func:`pipeline_forecast`,
+    under ``fit-once`` from its row of the one filter pass. The report
+    counts the fits and their diagnostics.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -434,6 +445,7 @@ def rolling_backtest(
             concat(train.dalmp, test.dalmp), concat(train.rtlmp, test.rtlmp), train.node
         )
         n_train = len(train)
+        block = None
         if refit == "fit-once":
             # one filter pass serves every origin; the last test hour is
             # never history, so it is not transformed
@@ -445,20 +457,19 @@ def rolling_backtest(
                 n_train + starts,
                 horizon,
             )
-        else:
-            block = ModelForecasts(np.full((n_test, horizon), np.nan), np.full((n_test, horizon), np.nan))
-            for origin in range(n_test):
-                steps = min(horizon, n_test - origin)
-                history = data.window(0, n_train + origin)
-                if origin > 0:
-                    fitted = fit_pipeline(config, history, options, start=fitted.params)
-                    fits.append(fitted.diagnostics)
-                row = model_forecasts(
-                    config, fitted, history, data.dalmp.window(0, len(history) + steps), [len(history)], steps
-                )
-                block.mean[origin, :steps] = row.mean[0]
-                block.variance[origin, :steps] = row.variance[0]
-        forecasts = _prices(config, block.mean, block.variance, _ahead(test.dalmp.values, starts, horizon))
+        forecasts = np.full((n_test, horizon), np.nan)
+        for origin in range(n_test):
+            steps = min(horizon, n_test - origin)
+            history = data.window(0, n_train + origin)
+            modeled = None
+            if block is not None:
+                modeled = ModelForecasts(block.mean[origin : origin + 1], block.variance[origin : origin + 1])
+            elif origin > 0:
+                fitted = fit_pipeline(config, history, options, start=fitted.params)
+                fits.append(fitted.diagnostics)
+            future_da = test.dalmp.window(origin, steps)
+            prices, _ = pipeline_forecast(config, fitted, history, future_da, steps, modeled)
+            forecasts[origin, :steps] = prices.values
 
     improvements, maes, excluded = [], [], []
     for step in range(1, horizon + 1):

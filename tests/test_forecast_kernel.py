@@ -18,6 +18,7 @@ from scipy.signal import lfilter
 from lmpcast import arima, backtest
 from lmpcast.arima import ModelSpec, ParameterVector, ar_polynomial, ma_polynomial, residuals
 from lmpcast.backtest import (
+    ModelForecasts,
     PipelineConfig,
     _ahead,
     _prices,
@@ -299,6 +300,25 @@ def test_pipeline_forecast_matches_per_origin_path(name):
     want_prices, want_variance = per_origin_forecast(config, fitted, history, future, 8)
     np.testing.assert_allclose(prices.values, want_prices, rtol=0, atol=TOL)
     np.testing.assert_allclose(variance, want_variance, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", ["armax_garch", "sarima"])
+def test_pipeline_forecast_reads_a_given_modeled_row(name):
+    config, params, garch = CASES[name]
+    data = market(540, seed=5)
+    fitted = restore_pipeline_fit(config, data.window(0, 500), params, garch)
+    block = model_forecasts(config, fitted, data.window(0, 520), data.dalmp, [490, 500, 510], 8)
+    history, future = data.window(0, 500), data.dalmp.window(500, 8)
+    row = ModelForecasts(block.mean[1:2], block.variance[1:2])
+    prices, variance = pipeline_forecast(config, fitted, history, future, 6, row)
+    want_prices, want_variance = pipeline_forecast(config, fitted, history, future, 6)
+    np.testing.assert_allclose(prices.values, want_prices.values, rtol=0, atol=TOL)
+    np.testing.assert_allclose(variance, want_variance, rtol=1e-12, atol=0)
+    with pytest.raises(ValueError, match="one origin's row"):
+        pipeline_forecast(config, fitted, history, future, 6, block)
+    with pytest.raises(ValueError, match="at least 8 steps"):
+        short = ModelForecasts(block.mean[1:2, :5], block.variance[1:2, :5])
+        pipeline_forecast(config, fitted, history, future, 8, short)
 
 
 @pytest.mark.parametrize("name", ["arma", "sarimax"])
