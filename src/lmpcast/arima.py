@@ -448,6 +448,8 @@ def simulate(
     _check_exog_count(spec, exog)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed = {seed}: expected a non-negative integer")
     diff_poly = difference_polynomial(spec.diff)
     k = diff_poly.degree
     ar = _lag_array(params.phi, params.Phi, spec.diff.S)

@@ -116,6 +116,8 @@ class SynthConfig:
             raise ValueError("length must be >= 1")
         if not 0.0 <= self.spike_rate < 1.0:
             raise ValueError(f"spike_rate must be in [0, 1), got {self.spike_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed}: expected a non-negative integer")
 
 
 def synth_market(config: SynthConfig) -> MarketDataset:
@@ -164,38 +166,40 @@ def load_lmp_csv(path, gap_policy: str = "reject", node: str = "NODE") -> Market
 
     Rows are sorted by timestamp; duplicated hours are averaged in file order
     (logged). Missing hours either raise GapError (``gap_policy="reject"``)
-    or repeat the previous hour's prices (``"forward-fill"``, logged).
+    or repeat the previous hour's prices (``"forward-fill"``, logged). A row
+    that cannot be read raises ParseError naming the path and the line.
     """
     if gap_policy not in ("reject", "forward-fill"):
         raise ValueError(f"gap_policy must be 'reject' or 'forward-fill', got {gap_policy!r}")
     hours: list[int] = []
     prices: list[tuple[float, float]] = []
     try:
-        handle = open(path, encoding="utf-8", newline="")
+        handle = open(path, "rb")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
+    # lines end at LF, CR or CRLF, as in text mode with newline=""; each is decoded on its own
+    reader = csv.reader(line.decode("utf-8") for chunk in handle for line in chunk.splitlines(keepends=True))
+    try:
         header = next(reader, None)
         if header != _HEADER:
             raise SchemaError(f"expected header {','.join(_HEADER)!r}, got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 3:
-                raise ParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                ts = parse_hour(row[0])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            try:
-                da, rt = float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad price field: {exc}") from exc
+                raise ValueError(f"expected 3 fields, got {len(row)}")
+            ts = parse_hour(row[0])
+            da, rt = float(row[1]), float(row[2])
             if not (math.isfinite(da) and math.isfinite(rt)):
-                raise ParseError(f"line {lineno}: price fields must be finite, got {row[1]!r}, {row[2]!r}")
+                raise ValueError(f"price fields must be finite, got {row[1]!r}, {row[2]!r}")
             hours.append(ts.toordinal() * 24 + ts.hour)
             prices.append((da, rt))
+    except UnicodeDecodeError as exc:  # the reader has not yet counted the line it could not decode
+        raise ParseError(f"{path}: line {reader.line_num + 1}: {exc}") from exc
+    except (csv.Error, ValueError) as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+    finally:
+        handle.close()
     if not hours:
         raise SchemaError(f"{path}: no data rows")
 

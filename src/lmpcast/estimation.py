@@ -6,6 +6,9 @@ partial-autocorrelation reparameterization (each factor independently),
 so every point the optimizer visits is stationary and invertible. The
 intercept, the regression coefficients and the innovation variance are
 concentrated out in closed form, so the search sees only the AR/MA shape.
+Unless a start is given, the first start is the sample partial
+autocorrelations of the working series from the Durbin-Levinson recursion
+for the AR factors and white noise for the MA side.
 GARCH coefficients are mapped through exp/softmax-style transforms that
 keep them non-negative with persistence below one. All searches are multi-start with seeded
 jitter and therefore deterministic.
@@ -32,11 +35,11 @@ from .arima import (
     profiled_log_likelihood,
     residuals,
 )
-from .errors import EstimationFailed, LmpcastError, SeriesTooShort
+from .errors import DegenerateSeries, EstimationFailed, LmpcastError, SeriesTooShort
 from .garch import (GarchParams, GarchSpec, _check_orders, _quasi_log_likelihood, _variance_recursion,
                     forecast_variance_origins)
 from .lagpoly import is_stable
-from .series import HourlySeries, _autocovariances
+from .series import HourlySeries, _autocovariances, _durbin_levinson, _levinson
 
 __all__ = [
     "FitOptions",
@@ -80,6 +83,8 @@ class FitOptions:
             raise ValueError("tolerance must be in (0, 1e-6]")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed}: expected a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -113,20 +118,11 @@ class FittedModel:
 def pacf_to_coeffs(r: np.ndarray) -> np.ndarray:
     """Map partial autocorrelations in (-1, 1) to stable factor coefficients.
 
-    Levinson recursion: the order-k coefficient vector is built from the
-    order-(k-1) one and the k-th partial autocorrelation. Every input with
+    Levinson recursion (:func:`lmpcast.series._levinson`): every input with
     all entries strictly inside the unit interval yields a polynomial
     ``1 - c_1 B - ... - c_k B^k`` with roots outside the unit circle.
     """
     return np.array(_levinson(np.asarray(r, dtype=np.float64).tolist()), dtype=np.float64)
-
-
-def _levinson(r: list[float]) -> list[float]:
-    """:func:`pacf_to_coeffs` on Python floats, the same arithmetic step by step."""
-    a: list[float] = []
-    for rk in r:
-        a = [x - rk * y for x, y in zip(a, reversed(a))] + [rk]
-    return a
 
 
 def coeffs_to_pacf(coeffs: np.ndarray) -> np.ndarray:
@@ -139,11 +135,6 @@ def coeffs_to_pacf(coeffs: np.ndarray) -> np.ndarray:
         if k > 1:
             a = (a[: k - 1] + rk * a[: k - 1][::-1]) / (1.0 - rk * rk)
     return r
-
-
-def _to_unconstrained(coeffs) -> np.ndarray:
-    r = coeffs_to_pacf(np.asarray(coeffs, dtype=np.float64)) / _PACF_LIMIT
-    return np.arctanh(np.clip(r, -0.999999, 0.999999))
 
 
 class _Shape(NamedTuple):
@@ -167,49 +158,36 @@ def _unpack(spec: ModelSpec, vec: np.ndarray) -> _Shape:
 # ---------------------------------------------------------------------------
 # starting values
 
-def _yule_walker(x: np.ndarray, order: int, spacing: int = 1) -> np.ndarray:
-    """AR starting coefficients from the sample autocovariances.
+def _sample_partials(x: np.ndarray, order: int, spacing: int = 1) -> np.ndarray:
+    """Sample partial autocorrelations of ``x`` at lags ``spacing``, ..., ``order * spacing``.
 
-    ``spacing`` > 1 solves the system on seasonally strided lags, giving a
-    start for the seasonal factor.
+    Strided lags give the seasonal factor's start. Zeros where the sample is
+    too short for them or constant.
     """
-    if order == 0:
-        return np.empty(0)
     if x.shape[0] <= order * spacing:
         return np.zeros(order)
-    lags = np.arange(order + 1) * spacing
-    g = _autocovariances(x, lags)
-    if g[0] <= 0.0:
-        return np.zeros(order)
-    from scipy.linalg import solve_toeplitz  # here, so a command that fits nothing never imports it
-
     try:
-        a = solve_toeplitz(g[:-1], g[1:])
-    except np.linalg.LinAlgError:
+        return np.array(_durbin_levinson(_autocovariances(x, np.arange(order + 1) * spacing)))
+    except DegenerateSeries:
         return np.zeros(order)
-    if not np.all(np.isfinite(a)):
-        return np.zeros(order)
-    return a
 
 
 def _starting_vector(spec: ModelSpec, w: np.ndarray, start: ParameterVector | None) -> np.ndarray:
-    """Search coordinates of the first start.
+    """Search coordinates of the first start, through the inverse of :func:`_unpack`'s map.
 
-    Without ``start``: Yule-Walker AR factors and a white-noise MA side.
-    With it: its factors, each padded with zero partial autocorrelations
-    (the same polynomial) or truncated to the spec's order.
+    Without ``start``: the sample partial autocorrelations for the AR
+    factors and a white-noise MA side. With it: the partial
+    autocorrelations of its factors, each padded with zeros (the same
+    polynomial) or truncated to the spec's order.
     """
     if start is None:
-        return np.concatenate([
-            _to_unconstrained(_yule_walker(w, spec.p)),
-            _to_unconstrained(_yule_walker(w, spec.P, spacing=spec.diff.S)),
-            np.zeros(spec.q + spec.Q),  # MA side starts at white noise
-        ])
-    pieces = []
-    for coeffs, order in ((start.phi, spec.p), (start.Phi, spec.P), (start.theta, spec.q), (start.Theta, spec.Q)):
-        x = _to_unconstrained(coeffs)[:order]
-        pieces.extend([x, np.zeros(order - x.shape[0])])
-    return np.concatenate(pieces)
+        r = [_sample_partials(w, spec.p), _sample_partials(w, spec.P, spacing=spec.diff.S), np.zeros(spec.q + spec.Q)]
+    else:
+        r = []
+        for coeffs, order in ((start.phi, spec.p), (start.Phi, spec.P), (start.theta, spec.q), (start.Theta, spec.Q)):
+            x = coeffs_to_pacf(coeffs)[:order]
+            r.extend([x, np.zeros(order - x.shape[0])])
+    return np.arctanh(np.clip(np.concatenate(r) / _PACF_LIMIT, -0.999999, 0.999999))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from typing import Sequence
 
 import numpy as np
 
@@ -297,19 +298,28 @@ def sample_pacf(series: HourlySeries, max_lag: int) -> list[float]:
     Computed by the Durbin-Levinson recursion on the sample ACF; lag 0 is 1
     by convention and lag 1 equals the lag-1 autocorrelation.
     """
-    rho = sample_acf(series, max_lag)
-    pacf = [1.0]
-    if max_lag == 0:
-        return pacf
-    # phi[j] holds the order-m AR coefficients as m advances
-    phi = [rho[1]]
-    pacf.append(rho[1])
-    for m in range(2, max_lag + 1):
-        num = rho[m] - sum(phi[j] * rho[m - 1 - j] for j in range(m - 1))
-        den = 1.0 - sum(phi[j] * rho[j + 1] for j in range(m - 1))
-        if den <= 0.0:
+    return [1.0, *_durbin_levinson(sample_acf(series, max_lag))]
+
+
+def _levinson(r: Sequence[float], a: Sequence[float] = ()) -> list[float]:
+    """Levinson recursion: step the factor coefficients ``a`` up by each partial autocorrelation in ``r``."""
+    for rk in r:
+        a = [x - rk * y for x, y in zip(a, reversed(a))] + [rk]
+    return list(a)
+
+
+def _durbin_levinson(gamma: Sequence[float]) -> list[float]:
+    """Partial autocorrelations at lags 1..k from autocovariances at lags 0..k.
+
+    Durbin-Levinson: ``r_k = (g_k - sum_j a_j g_{k-j}) / v_{k-1}`` with ``a``
+    the order-(k-1) coefficients and ``v_{k-1}`` their innovation variance.
+    DegenerateSeries where that variance is not positive.
+    """
+    a, r, v = [], [], gamma[0]
+    for m in range(1, len(gamma)):
+        if not v > 0.0:
             raise DegenerateSeries(f"Durbin-Levinson breakdown at lag {m} (non-positive innovation variance)")
-        phi_mm = num / den
-        phi = [phi[j] - phi_mm * phi[m - 2 - j] for j in range(m - 1)] + [phi_mm]
-        pacf.append(float(phi_mm))
-    return pacf
+        rk = (gamma[m] - sum(x * g for x, g in zip(a, gamma[m - 1 : 0 : -1]))) / v
+        a, v = _levinson([rk], a), v * (1.0 - rk * rk)
+        r.append(rk)
+    return r

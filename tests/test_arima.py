@@ -326,6 +326,10 @@ class TestSimulate:
         with pytest.raises(UnstableParameters):
             simulate(ModelSpec(p=1), ParameterVector(phi=(1.01,), mu=0.0, sigma2=1.0), 100)
 
+    def test_negative_seed_rejected_naming_it(self):
+        with pytest.raises(ValueError, match=r"seed = -1: expected a non-negative integer"):
+            simulate(ModelSpec(p=1), ParameterVector(phi=(0.5,), mu=0.0, sigma2=1.0), 100, seed=-1)
+
     def test_seasonal_integration_levels(self):
         # with D=1 the simulated level series has a persistent daily pattern:
         # seasonal differences of the output are the stationary core process

@@ -107,6 +107,19 @@ class TestRuntimeErrors:
         assert rc == 1
         assert "line 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [b"9" * 200_000, b"2\xff.0", b"cheap"], ids=["wide_field", "latin_byte", "word"])
+    def test_unreadable_csv_row_exits_one_naming_path_and_line(self, ws, tmp_path, capsys, bad):
+        lines = Path(ws.data).read_bytes().splitlines()
+        lines[5] = lines[5].split(b",")[0] + b",25.0," + bad
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"\n".join(lines) + b"\n")
+        rc = main(["acf", "--config", ws.config, "--data", str(data), "--out", str(tmp_path / "acf.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {data}: line 6: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "acf.csv").exists()
+
     def test_fitting_baseline_pipeline_exits_one(self, ws, tmp_path, capsys):
         config = write_config(tmp_path, "base.json", pipeline="baseline")
         rc = main(

@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, the synthetic market generator, and plot exports."""
 
 import logging
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -178,6 +179,32 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="no data rows"):
             load_lmp_csv(write(tmp_path / "empty.csv", ""))
 
+    def test_oversized_field_names_the_path_and_line(self, tmp_path):
+        body = "2015-01-05T00:00Z,25.10,24.80\n2015-01-05T01:00Z,25.10," + "9" * 200_000 + "\n"
+        path = write(tmp_path / "wide.csv", body)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: line 3: field larger than field limit")):
+            load_lmp_csv(path)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_endings_read_as_lf(self, tmp_path, ending):
+        body = HEADER + "2015-01-05T00:00Z,25.10,24.80\n2015-01-05T01:00Z,24.30,26.00\n"
+        want = load_lmp_csv(write(tmp_path / "lf.csv", body[len(HEADER):]))
+        path = tmp_path / "other.csv"
+        path.write_bytes(body.replace("\n", ending).encode())
+        got = load_lmp_csv(path)
+        assert got.start == want.start
+        assert got.dalmp.values.tolist() == want.dalmp.values.tolist()
+        assert got.rtlmp.values.tolist() == want.rtlmp.values.tolist()
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_non_utf8_byte_names_the_path_and_line(self, tmp_path, line):
+        rows = [HEADER.encode(), b"2015-01-05T00:00Z,25.10,24.80\n", b"2015-01-05T01:00Z,25.10,24.80\n"]
+        rows[line - 1] = rows[line - 1].replace(b",", b",\xff", 1)
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"".join(rows))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: line {line}: 'utf-8' codec can't decode byte 0xff")):
+            load_lmp_csv(path)
+
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(IoError):
             load_lmp_csv(tmp_path / "absent.csv")
@@ -324,6 +351,10 @@ class TestSynthMarket:
             synth_config(length=0)
         with pytest.raises(ValueError):
             synth_config(spike_rate=1.0)
+
+    def test_negative_seed_rejected_naming_it(self):
+        with pytest.raises(ValueError, match=r"seed = -1: expected a non-negative integer"):
+            synth_config(seed=-1)
 
 
 class TestExportPlotData:

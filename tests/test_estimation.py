@@ -16,11 +16,12 @@ from lmpcast.arima import (
     residuals,
     simulate,
 )
-from lmpcast.errors import EstimationFailed, SeriesTooShort
+from lmpcast.errors import DegenerateSeries, EstimationFailed, SeriesTooShort
 from lmpcast.estimation import (
     BicTable,
     Diagnostics,
     FitOptions,
+    _sample_partials,
     bic,
     coeffs_to_pacf,
     fit,
@@ -31,7 +32,7 @@ from lmpcast.estimation import (
 )
 from lmpcast.garch import GarchParams, GarchSpec, forecast_variance
 from lmpcast.lagpoly import LagPolynomial, is_stable
-from lmpcast.series import UNITS_NONE, HourlySeries
+from lmpcast.series import UNITS_NONE, HourlySeries, _autocovariances, _durbin_levinson
 
 FAST = FitOptions(restarts=1, seed=0)
 
@@ -63,6 +64,42 @@ class TestPacfMap:
             r = rng.uniform(-0.999, 0.999, size=4)
             poly = LagPolynomial.from_factor_coefficients(pacf_to_coeffs(r))
             assert is_stable(poly).stable
+
+
+class TestSamplePartials:
+    """The Durbin-Levinson partial autocorrelations of the default first start,
+    against SciPy's Toeplitz solve of the Yule-Walker equations stepped down to
+    partial autocorrelations."""
+
+    @pytest.mark.parametrize("spacing", [1, 24])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_equal_the_yule_walker_solve(self, order, spacing):
+        from scipy.linalg import solve_toeplitz
+        from scipy.signal import lfilter
+
+        rng = np.random.default_rng(90 + order)
+        ar = np.zeros(order * spacing + 1)
+        ar[0] = 1.0
+        ar[spacing::spacing] = -pacf_to_coeffs(rng.uniform(-0.8, 0.8, size=order))
+        x = lfilter([1.0], ar, rng.normal(size=4000))
+        g = _autocovariances(x, np.arange(order + 1) * spacing)
+        want = coeffs_to_pacf(solve_toeplitz(g[:-1], g[1:]))
+        np.testing.assert_allclose(_durbin_levinson(g), want, rtol=1e-10)
+        np.testing.assert_allclose(_sample_partials(x, order, spacing), want, rtol=1e-10)
+
+    def test_zeros_where_the_sample_cannot_give_them(self):
+        constant = np.full(500, 3.0)
+        assert _sample_partials(constant, 2).tolist() == [0.0, 0.0]
+        assert _sample_partials(constant, 1, spacing=24).tolist() == [0.0]
+        short = np.random.default_rng(96).normal(size=48)
+        assert _sample_partials(short, 2, spacing=24).tolist() == [0.0, 0.0]
+        assert _sample_partials(short, 1, spacing=48).tolist() == [0.0]
+        assert _sample_partials(short, 0, spacing=24).shape == (0,)
+
+    def test_breakdown_raises(self):
+        # a unit lag-1 autocorrelation leaves no innovation variance for lag 2
+        with pytest.raises(DegenerateSeries, match="lag 2"):
+            _durbin_levinson([1.0, 1.0, 0.5])
 
 
 class TestFit:
@@ -184,6 +221,11 @@ class TestFit:
             FitOptions(tolerance=1e-3)
         with pytest.raises(ValueError):
             FitOptions(restarts=0)
+
+    def test_negative_seed_rejected_naming_it(self):
+        # a constant-only fit never draws from the seed, so the options must refuse it
+        with pytest.raises(ValueError, match=r"seed = -1: expected a non-negative integer"):
+            FitOptions(restarts=3, seed=-1)
 
 
 class TestBic:

@@ -38,9 +38,8 @@ from lmpcast.estimation import (
     FitOptions,
     _PACF_LIMIT,
     _run_simplex,
-    _to_unconstrained,
+    _starting_vector,
     _unpack,
-    _yule_walker,
     fit,
 )
 from lmpcast.garch import _variance_recursion
@@ -129,8 +128,8 @@ def reference_search_loglik(spec, y, exog, options):
     """Log-likelihood of the search before concentration.
 
     The simplex ran over the PACF coordinates and ``(mu, gamma)``, started
-    from least squares on the regressors and Yule-Walker on what they
-    leave; only ``sigma2`` was profiled out.
+    from least squares on the regressors and the sample partial
+    autocorrelations of what they leave; only ``sigma2`` was profiled out.
     """
     w, U = _working_series(spec, y, exog)
     cols = ([np.ones(w.shape[0])] if spec.constant else []) + ([] if U is None else list(U.T))
@@ -140,12 +139,7 @@ def reference_search_loglik(spec, y, exog, options):
         X = np.column_stack(cols)
         coef = np.linalg.lstsq(X, w, rcond=None)[0]
         adjusted = w - X @ coef
-    x0 = np.concatenate([
-        _to_unconstrained(_yule_walker(adjusted, spec.p)),
-        _to_unconstrained(_yule_walker(adjusted, spec.P, spacing=spec.diff.S)),
-        np.zeros(spec.q + spec.Q),
-        coef,
-    ])
+    x0 = np.concatenate([_starting_vector(spec, adjusted, None), coef])
 
     def objective(vec):
         loglik = reference_profiled(spec, reference_unpack(spec, vec), w, U)[0]

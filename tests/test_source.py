@@ -2,9 +2,9 @@
 code, the recursions compute on dense lag arrays, JSON values are typed
 only by the field tables' leaf readers, CSV cells are formatted only by
 ``dataio``'s table writer, a regressor matrix's column count is read only
-by ``arima``'s regressor rule, start-up imports no ``scipy.signal``,
-``scipy.optimize`` or ``scipy.linalg``, with one ``lfilter`` in the package,
-and hours are rendered only by ``series.format_hour``."""
+by ``arima``'s regressor rule, the package never imports ``scipy.signal``
+or ``scipy.linalg`` and start-up imports no ``scipy.optimize``, with one
+``lfilter`` in the package, and hours are rendered only by ``series.format_hour``."""
 
 import ast
 from pathlib import Path
@@ -117,10 +117,11 @@ def column_count_reads(modules):
 
 # the one filter entry point: a top-level function of this module
 FILTER = ("lagpoly.py", "lfilter")
-# never imported: the filter loads SciPy's C routine without this package
-NEVER_IMPORTED = ("scipy.signal",)
-# imported only inside function bodies, so that start-up skips them
-FIT_TIME = ("scipy.optimize", "scipy.linalg")
+# never imported: the filter loads SciPy's C routine without ``scipy.signal``,
+# and the Durbin-Levinson recursion in ``series`` replaces ``scipy.linalg``
+NEVER_IMPORTED = ("scipy.signal", "scipy.linalg")
+# imported only inside function bodies, so that start-up skips it
+FIT_TIME = ("scipy.optimize",)
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -138,8 +139,8 @@ def _loaded(node):
 
 
 def scipy_imports_and_filters(modules):
-    """``module:line what`` of each import of ``scipy.signal``, each import of
-    ``scipy.optimize`` or ``scipy.linalg`` outside a function body, and each
+    """``module:line what`` of each import of ``scipy.signal`` or ``scipy.linalg``,
+    each import of ``scipy.optimize`` outside a function body, and each
     ``lfilter`` defined anywhere but at the top level of ``lagpoly.py``."""
     found = []
     for module, tree in modules:
@@ -148,8 +149,9 @@ def scipy_imports_and_filters(modules):
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = _loaded(node)
-                if _under(names, NEVER_IMPORTED):
-                    found.append((module, node.lineno, "scipy.signal"))
+                never = [p for p in NEVER_IMPORTED if _under(names, (p,))]
+                if never:
+                    found.append((module, node.lineno, never[0]))
                 elif id(node) not in in_functions and _under(names, FIT_TIME):
                     found.append((module, node.lineno, "start-up import"))
             elif isinstance(node, DEFS) and node.name == FILTER[1]:
@@ -269,8 +271,8 @@ def test_check_sees_scipy_imports_and_a_second_lfilter():
     arima = ast.parse("import scipy.signal._sigtools\n\ndef lfilter(b, a, x):\n    return x\n")
     assert scipy_imports_and_filters([("lagpoly.py", lagpoly), ("estimation.py", estimation), ("arima.py", arima)]) == [
         "arima.py:1 scipy.signal", "arima.py:3 lfilter",
-        "estimation.py:1 start-up import", "estimation.py:5 start-up import", "estimation.py:9 scipy.signal",
-        "lagpoly.py:7 lfilter",
+        "estimation.py:1 start-up import", "estimation.py:5 scipy.linalg", "estimation.py:9 scipy.signal",
+        "lagpoly.py:7 lfilter", "lagpoly.py:8 scipy.linalg",
     ]
 
 
