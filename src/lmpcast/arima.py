@@ -17,7 +17,8 @@ values are backcast with the working-series sample mean, presample
 innovations are set to zero, and the sum runs over the full differenced
 sample. The innovations are linear in ``mu`` and ``gamma``, so for a given
 AR/MA shape the likelihood is maximized over them (and ``sigma2``) in
-closed form (:func:`profiled_log_likelihood`). Every recursion is a linear
+closed form (:func:`profiled_log_likelihood`); the same kernel gives the
+innovations' Jacobian for the least-squares search. Every recursion is a linear
 filter on dense lag arrays built from the factor tuples; the sparse
 :func:`ar_polynomial`/:func:`ma_polynomial` are the public reference. The
 AR side runs as ``np.convolve``, the MA inverse through ``lagpoly.lfilter``,
@@ -319,12 +320,17 @@ def _ar_side(
     k_ar = ar.shape[0] - 1
     if not k_ar:
         return w
+    return np.convolve(ar, _backcast(w, k_ar, backcast))[k_ar : k_ar + w.shape[0]]
+
+
+def _backcast(w: np.ndarray, lags: int, value: float | None = None) -> np.ndarray:
+    """``w`` after ``lags`` presample values, by default the working-series sample mean."""
     m = w.shape[0]
-    w_ext = np.empty(k_ar + m)
+    w_ext = np.empty(lags + m)
     # the sum over the count is what w.mean() computes, without its overhead
-    w_ext[:k_ar] = w.sum() / m if backcast is None else backcast
-    w_ext[k_ar:] = w
-    return np.convolve(ar, w_ext)[k_ar : k_ar + m]
+    w_ext[:lags] = w.sum() / m if value is None else value
+    w_ext[lags:] = w
+    return w_ext
 
 
 def residuals(
@@ -366,6 +372,98 @@ def _gaussian_log_likelihood(eps: np.ndarray, sigma2: float) -> float:
 _NORMAL_EQUATIONS_COND = 1e8
 
 
+def _regress(Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of each row of ``Y`` on the rows of ``Z``, shaped ``(len(Y), len(Z))``.
+
+    NaN where the rows' Gram matrix is not finite (an explosive MA side).
+    """
+    if Z.shape[0] == 1:
+        z = Z[0]
+        zz = float(np.dot(z, z))
+        return (Y @ z)[:, None] / zz if zz > 0.0 else np.zeros((Y.shape[0], 1))
+    G = Z @ Z.T
+    if not np.isfinite(G).all():
+        return np.full((Y.shape[0], Z.shape[0]), np.nan)
+    if np.linalg.cond(G) < _NORMAL_EQUATIONS_COND:
+        return np.linalg.solve(G, Z @ Y.T).T
+    # near-collinear columns: solve from Z, whose condition G squares
+    return np.linalg.lstsq(Z.T, Y.T, rcond=None)[0].T
+
+
+def _concentrated(
+    spec: ModelSpec,
+    params: ParameterVector,
+    w: np.ndarray,
+    U: np.ndarray | None,
+    jacobian: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Innovations at the least-squares regression coefficients for the shape in ``params``.
+
+    Only the AR/MA factors of ``params`` are read (``phi``, ``Phi``,
+    ``theta``, ``Theta``). The innovations are linear in the regression
+    coefficients ``beta = (mu, *gamma)`` (``mu`` only with a constant):
+    ``e = F(a) - F([1, U]) beta``, where ``a`` is the AR side of the working
+    series ``w~`` (lagged values backcast with its mean) and ``F`` the
+    zero-state MA inverse filter (Box, Jenkins & Reinsel, ch. 7). ``a``, a
+    row of ones for the constant and any regressor columns are rows of one
+    array that the filter runs over, and ``beta`` is their least-squares
+    solution.
+
+    With ``jacobian``, also ``de/d(phi, Phi, theta, Theta)``, shaped
+    ``(len(w), k)``, in Kaufman's (1975) variable-projection form: the
+    derivatives at fixed ``beta`` with the filtered regressor rows
+    projected out. At fixed ``beta``
+    ``de/dphi_i = -F(B^i PHI(B^S) w~)`` and ``de/dPHI_j = -F(B^{jS} phi(B) w~)``,
+    further rows of that array; presample innovations are zero, so the filter
+    commutes with the shift and ``de/dtheta_i = B^i e / theta(B)``,
+    ``de/dTHETA_j = B^{jS} e / THETA(B^S)``. Returns ``(e, beta, J)``,
+    ``J`` None without ``jacobian``.
+    """
+    S = spec.diff.S
+    ma = _lag_array(params.theta, params.Theta, S)
+    m = w.shape[0]
+    r = int(spec.constant) + spec.exog_count
+    filtered = 1 + r + spec.p + spec.P if jacobian else 1 + r
+    # rows: the AR side, the regressors, then the Jacobian's AR and MA rows
+    Y = np.empty((filtered + (spec.q + spec.Q if jacobian else 0), m))
+    Y[0] = _ar_side(spec, params, w)
+    if spec.constant:
+        Y[1] = 1.0
+    if U is not None:
+        Y[1 + int(spec.constant) : 1 + r] = U.T
+    if jacobian:
+        # the full backcast, so the derivative at a zero last coefficient sees its lag
+        K = spec.max_ar_lag
+        w_ext = _backcast(w, K)
+        for factor, order, step, first in ((_lag_array((), params.Phi, S), spec.p, 1, 1 + r),
+                                           (_lag_array(params.phi, (), S), spec.P, S, 1 + r + spec.p)):
+            if order:
+                lagged = np.convolve(factor, w_ext)
+                for i in range(1, order + 1):
+                    Y[first + i - 1] = -lagged[K - i * step : K - i * step + m]
+    if ma.shape[0] > 1:
+        # a row at a time, in place: a stacked call's output would be a second copy of the rows
+        for row in Y[:filtered]:
+            row[:] = lfilter([1.0], ma, row)
+    y, Z = Y[0], Y[1 : 1 + r]
+    beta = _regress(Z, y[None])[0] if r else np.empty(0)
+    eps = y - beta @ Z if r else y
+    if not jacobian:
+        return eps, beta, None
+    for factor, order, step, first in ((_lag_array(params.theta, (), S), spec.q, 1, filtered),
+                                       (_lag_array((), params.Theta, S), spec.Q, S, filtered + spec.q)):
+        if order:
+            g = lfilter([1.0], factor, eps) if factor.shape[0] > 1 else eps
+            for i in range(1, order + 1):
+                Y[first + i - 1, : i * step] = 0.0
+                Y[first + i - 1, i * step :] = g[: m - i * step]
+    J = Y[1 + r :]
+    if r:
+        for column, c in zip(J, _regress(Z, J)):
+            column -= c @ Z
+    return eps, beta, J.T
+
+
 def profiled_log_likelihood(
     spec: ModelSpec,
     params: ParameterVector,
@@ -374,47 +472,14 @@ def profiled_log_likelihood(
 ) -> tuple[float, float, tuple[float, ...]]:
     """Log-likelihood maximized over ``mu``, ``gamma`` and ``sigma2`` for the shape in ``params``.
 
-    Only the AR/MA factors of ``params`` are read (``phi``, ``Phi``,
-    ``theta``, ``Theta``). The innovations are linear in the regression
-    coefficients ``beta = (mu, *gamma)`` (``mu`` only with a constant):
-    ``e = F(a) - F([1, U]) beta``, where ``a`` is the AR side of the working
-    series and ``F`` the zero-state MA inverse filter (Box, Jenkins &
-    Reinsel, ch. 7). One ``lfilter`` call filters ``a``, a row of ones for
-    the constant and any regressor columns together. ``beta`` is their
-    least-squares solution and ``sigma2_hat`` the mean squared innovation.
-    Returns ``(loglik, sigma2_hat, beta)``.
+    Reads the innovations at the least-squares ``beta`` from
+    :func:`_concentrated`; ``sigma2_hat`` is their mean square. Returns
+    ``(loglik, sigma2_hat, beta)``, ``-inf`` where the MA side overflows.
     """
-    a = _ar_side(spec, params, w)
-    ma = _lag_array(params.theta, params.Theta, spec.diff.S)
-    m = w.shape[0]
-    rows = [a]
-    if spec.constant:
-        rows.append(np.ones(m))
-    if U is not None:
-        rows.extend(U.T)
-    Y = np.array(rows)
-    if ma.shape[0] > 1:
-        Y = lfilter([1.0], ma, Y)
-    y, Z = Y[0], Y[1:]
-    if Z.shape[0] == 1:
-        z = Z[0]
-        zz = float(np.dot(z, z))
-        beta = (float(np.dot(z, y)) / zz if zz > 0.0 else 0.0,)
-        eps = y - beta[0] * z
-    elif Z.shape[0]:
-        G = Z @ Z.T
-        if not np.isfinite(G).all():  # an explosive MA side: -inf, as with one column
-            return float("-inf"), math.nan, (math.nan,) * Z.shape[0]
-        if np.linalg.cond(G) < _NORMAL_EQUATIONS_COND:
-            solved = np.linalg.solve(G, Z @ y)
-        else:  # near-collinear columns: solve from Z, whose condition G squares
-            solved = np.linalg.lstsq(Z.T, y, rcond=None)[0]
-        beta = tuple(solved.tolist())
-        eps = y - solved @ Z
-    else:
-        beta = ()
-        eps = y
+    eps, beta, _ = _concentrated(spec, params, w, U)
+    m = eps.shape[0]
     sigma2 = float(np.dot(eps, eps) / m)
+    beta = tuple(beta.tolist())
     if sigma2 <= 0.0 or not math.isfinite(sigma2):
         return float("-inf"), sigma2, beta
     loglik = -0.5 * m * (math.log(2.0 * math.pi * sigma2) + 1.0)

@@ -167,7 +167,8 @@ def load_lmp_csv(path, gap_policy: str = "reject", node: str = "NODE") -> Market
     Rows are sorted by timestamp; duplicated hours are averaged in file order
     (logged). Missing hours either raise GapError (``gap_policy="reject"``)
     or repeat the previous hour's prices (``"forward-fill"``, logged). A row
-    that cannot be read raises ParseError naming the path and the line.
+    that cannot be read raises ParseError naming the path and the line; a
+    wrong header (line 1) and a gap name the path too.
     """
     if gap_policy not in ("reject", "forward-fill"):
         raise ValueError(f"gap_policy must be 'reject' or 'forward-fill', got {gap_policy!r}")
@@ -182,7 +183,7 @@ def load_lmp_csv(path, gap_policy: str = "reject", node: str = "NODE") -> Market
     try:
         header = next(reader, None)
         if header != _HEADER:
-            raise SchemaError(f"expected header {','.join(_HEADER)!r}, got {header!r}")
+            raise SchemaError(f"{path}: line 1: expected header {','.join(_HEADER)!r}, got {header!r}")
         for row in reader:
             if not row:
                 continue
@@ -219,7 +220,7 @@ def load_lmp_csv(path, gap_policy: str = "reject", node: str = "NODE") -> Market
     steps = np.diff(unique)
     if gap_policy == "reject" and np.any(steps > 1):
         missing = unique[np.argmax(steps > 1)] + 1
-        raise GapError(f"missing hour {format_hour(_hour(missing))}")
+        raise GapError(f"{path}: missing hour {format_hour(_hour(missing))}")
     every = np.arange(unique[0], unique[-1] + 1)
     values = values[np.searchsorted(unique, every, side="right") - 1]
     if len(every) > len(unique):

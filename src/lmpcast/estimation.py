@@ -1,17 +1,22 @@
 """Maximum-likelihood estimation, BIC, and grid order selection.
 
-Fitting runs a derivative-free simplex search in an unconstrained
-coordinate system: AR and MA factor coefficients are mapped through the
-partial-autocorrelation reparameterization (each factor independently),
-so every point the optimizer visits is stationary and invertible. The
-intercept, the regression coefficients and the innovation variance are
-concentrated out in closed form, so the search sees only the AR/MA shape.
-Unless a start is given, the first start is the sample partial
+The mean equation is fitted by Levenberg-Marquardt (Marquardt 1963;
+MINPACK's ``lmder`` through ``scipy.optimize.least_squares``) on the
+concentrated innovations, in an unconstrained coordinate system: AR and MA
+factor coefficients are mapped through the partial-autocorrelation
+reparameterization (each factor independently), so every point the search
+visits is stationary and invertible. The intercept, the regression
+coefficients and the innovation variance are concentrated out in closed
+form, so the search sees only the AR/MA shape. Its Jacobian is the filter
+Jacobian of :func:`lmpcast.arima._concentrated` in Kaufman's (1975)
+variable-projection form, carried through the PACF map by a ``k x k``
+matrix. Unless a start is given, the first start is the sample partial
 autocorrelations of the working series from the Durbin-Levinson recursion
 for the AR factors and white noise for the MA side.
-GARCH coefficients are mapped through exp/softmax-style transforms that
-keep them non-negative with persistence below one. All searches are multi-start with seeded
-jitter and therefore deterministic.
+GARCH coefficients are fitted by a Nelder-Mead simplex, mapped through
+exp/softmax-style transforms that keep them non-negative with persistence
+below one. Both searches are multi-start with seeded jitter and therefore
+deterministic.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .arima import (
     ModelSpec,
     OriginForecasts,
     ParameterVector,
+    _concentrated,
     _end_of_history_paths,
     _gaussian_log_likelihood,
     _lag_array,
@@ -64,11 +70,20 @@ _BOUNDARY_MARGIN = 1e-3
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Optimizer controls shared by ARMA and GARCH fitting.
+    """Search controls shared by ARMA and GARCH fitting.
 
-    ``restarts`` is the total number of simplex starts; the first uses the
-    moment-based starting point (or the start :func:`fit` is given), later
-    ones jitter it with seeded noise.
+    ``restarts`` is the number of starts of either search: the first uses
+    the moment-based starting point (or the start :func:`fit` is given),
+    later ones jitter it with noise drawn from ``seed``; the best end wins.
+    ``max_iterations`` is a budget counted in likelihood evaluations. The
+    GARCH simplex stops after that many iterations or evaluations. A
+    Levenberg-Marquardt step of the mean equation filters the innovations
+    and ``k`` Jacobian rows (``k`` AR/MA coefficients), so that search stops
+    after ``max_iterations // (k + 1)`` innovation evaluations.
+    ``tolerance`` is the simplex's tolerance on the objective, so it bounds
+    the GARCH fit only; the Levenberg-Marquardt search stops on MINPACK's
+    tests at fixed tolerances (relative reduction of the sum of squares
+    1e-12, relative step 1e-10, gradient cosine 1e-10).
     """
 
     max_iterations: int = 2000
@@ -89,8 +104,10 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """How the search ended: convergence, simplex iterations, objective
-    evaluations of the winning start, and parameters near a boundary."""
+    """How the winning start's search ended: whether MINPACK's convergence
+    tests passed (stopping at the cap is not convergence), its Jacobian
+    evaluations (``iterations``), its innovation evaluations
+    (``evaluations``), and parameters near a boundary."""
 
     converged: bool
     iterations: int
@@ -155,6 +172,32 @@ def _unpack(spec: ModelSpec, vec: np.ndarray) -> _Shape:
     return _Shape(_levinson(r[:i]), _levinson(r[i:j]), _levinson(r[j:k]), _levinson(r[k:]))
 
 
+# the complex step of :func:`_unpack_jacobian`: its error term, of order
+# step**2 relative to the derivative, is far below rounding, and no
+# difference is taken, so nothing cancels
+_COMPLEX_STEP = 1e-30
+
+
+def _unpack_jacobian(spec: ModelSpec, vec: np.ndarray) -> np.ndarray:
+    """``d(phi, Phi, theta, Theta)/d vec``, the factors concatenated, as a ``k x k`` matrix.
+
+    Block diagonal, one block per factor. :func:`_unpack`'s map (``tanh``
+    then the Levinson step) is analytic, so the imaginary part of its value
+    at a complex step is a derivative exact to rounding (Squire & Trapp
+    1998); one Levinson run on arrays takes a factor's steps together.
+    """
+    D = np.zeros((vec.shape[0], vec.shape[0]))
+    i = 0
+    for order in (spec.p, spec.P, spec.q, spec.Q):
+        if order:
+            # row m holds coordinate m under each of the order steps
+            steps = vec[i : i + order, None] + 1j * _COMPLEX_STEP * np.eye(order)
+            coeffs = _levinson(list(_PACF_LIMIT * np.tanh(steps)))
+            D[i : i + order, i : i + order] = np.array(coeffs).imag / _COMPLEX_STEP
+        i += order
+    return D
+
+
 # ---------------------------------------------------------------------------
 # starting values
 
@@ -193,14 +236,29 @@ def _starting_vector(spec: ModelSpec, w: np.ndarray, start: ParameterVector | No
 # ---------------------------------------------------------------------------
 # fitting
 
-def _run_simplex(objective, x0: np.ndarray, options: FitOptions):
-    """Best of ``options.restarts`` simplex runs; deterministic given seed."""
-    from scipy.optimize import minimize  # here, so a command that fits nothing never imports it
+def _multistart(search, x0: np.ndarray, options: FitOptions):
+    """Best of ``options.restarts`` runs of ``search``: from ``x0``, then from seeded jitters of it.
 
+    ``search(start)`` returns ``(value, result)``; the lowest value wins, and
+    a start whose value is not finite has failed. Deterministic given seed.
+    """
     rng = np.random.default_rng(options.seed)
-    best = None
+    best_value, best = math.inf, None
     for attempt in range(options.restarts):
         start = x0 if attempt == 0 else x0 + rng.normal(0.0, 0.1, x0.shape[0])
+        value, result = search(start)
+        if math.isfinite(value) and (best is None or value < best_value):
+            best_value, best = value, result
+    if best is None:
+        raise EstimationFailed("no optimizer start produced a finite objective")
+    return best
+
+
+def _run_simplex(objective, x0: np.ndarray, options: FitOptions):
+    """Best of ``options.restarts`` Nelder-Mead runs on ``objective`` (:func:`_multistart`)."""
+    from scipy.optimize import minimize  # here, so a command that fits nothing never imports it
+
+    def search(start):
         res = minimize(
             objective,
             start,
@@ -212,13 +270,42 @@ def _run_simplex(objective, x0: np.ndarray, options: FitOptions):
                 "fatol": options.tolerance,
             },
         )
-        if not math.isfinite(res.fun):
-            continue
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None:
-        raise EstimationFailed("no optimizer start produced a finite objective")
-    return best
+        return res.fun, res
+
+    return _multistart(search, x0, options)
+
+
+def _fit_shape(spec: ModelSpec, w: np.ndarray, U: np.ndarray | None, x0: np.ndarray, options: FitOptions):
+    """Best of ``options.restarts`` Levenberg-Marquardt runs on the concentrated innovations.
+
+    MINPACK's ``lmder`` (Marquardt 1963) through ``least_squares``, with the
+    analytic Jacobian of :func:`lmpcast.arima._concentrated` carried to the
+    search coordinates by :func:`_unpack_jacobian`. One step filters the
+    innovations and ``k`` Jacobian rows, so the cap of
+    ``max_iterations // (k + 1)`` innovation evaluations keeps
+    ``max_iterations`` a budget counted in likelihood evaluations.
+    """
+    from scipy.optimize import least_squares  # here, so a command that fits nothing never imports it
+
+    def innovations(vec: np.ndarray) -> np.ndarray:
+        return _concentrated(spec, _unpack(spec, vec), w, U)[0]
+
+    # every Jacobian is written into this one array (least_squares hands
+    # MINPACK and its result copies); a new array per step raised peak memory
+    out = np.empty((w.shape[0], x0.shape[0]))
+
+    def jacobian(vec: np.ndarray) -> np.ndarray:
+        J = _concentrated(spec, _unpack(spec, vec), w, U, jacobian=True)[2]
+        return np.matmul(J, _unpack_jacobian(spec, vec), out=out)
+
+    def search(start):
+        if not np.isfinite(innovations(start)).all():
+            return math.inf, None
+        res = least_squares(innovations, start, jac=jacobian, method="lm", ftol=1e-12, xtol=1e-10, gtol=1e-10,
+                            max_nfev=options.max_iterations // (x0.shape[0] + 1))
+        return res.cost, res
+
+    return _multistart(search, x0, options)
 
 
 def fit(
@@ -230,26 +317,25 @@ def fit(
 ) -> FittedModel:
     """Maximize the conditional Gaussian likelihood of the model.
 
-    The simplex searches only the AR/MA shape, in reparameterized
-    coordinates, so the returned parameters always satisfy stationarity
-    and invertibility; ``mu``, ``gamma`` and ``sigma2`` come in closed form
-    at every point (:func:`lmpcast.arima.profiled_log_likelihood`). A spec
-    without AR/MA terms is fitted in closed form alone. ``start`` (say, the
-    fit at the previous origin of a rolling backtest) replaces the
-    moment-based first start. The stored log-likelihood is that of the
-    returned parameters, from the residuals :func:`assemble_fit` filters.
+    Levenberg-Marquardt (:func:`_fit_shape`) searches only the AR/MA shape,
+    in reparameterized coordinates, so the returned parameters always
+    satisfy stationarity and invertibility; ``mu``, ``gamma`` and ``sigma2``
+    come in closed form at every point
+    (:func:`lmpcast.arima.profiled_log_likelihood`). A spec without AR/MA
+    terms is fitted in closed form alone. ``start`` (say, the fit at the
+    previous origin of a rolling backtest) replaces the moment-based first
+    start. The stored log-likelihood is that of the returned parameters,
+    from the residuals :func:`assemble_fit` filters.
     """
     _validate_exog(spec, series, exog)
     w, U = _working_series(spec, series, exog)
-
-    def objective(vec: np.ndarray) -> float:
-        loglik = profiled_log_likelihood(spec, _unpack(spec, vec), w, U)[0]
-        return -loglik if math.isfinite(loglik) else 1e300
-
-    if spec.p + spec.P + spec.q + spec.Q:
-        best = _run_simplex(objective, _starting_vector(spec, w, start), options)
+    k = spec.p + spec.P + spec.q + spec.Q
+    if w.shape[0] < k:
+        raise SeriesTooShort(f"{w.shape[0]} working hours cannot determine {k} AR/MA coefficients")
+    if k:
+        best = _fit_shape(spec, w, U, _starting_vector(spec, w, start), options)
         shape = _unpack(spec, best.x)
-        converged, iterations, evaluations = bool(best.success), int(best.nit), int(best.nfev)
+        converged, iterations, evaluations = bool(best.status > 0), int(best.njev), int(best.nfev)
     else:
         shape = _Shape([], [], [], [])
         converged, iterations, evaluations = True, 0, 1

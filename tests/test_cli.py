@@ -120,6 +120,27 @@ class TestRuntimeErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "acf.csv").exists()
 
+    def test_wrong_csv_header_exits_one_naming_path_and_line(self, ws, tmp_path, capsys):
+        lines = Path(ws.data).read_text(encoding="utf-8").splitlines()
+        data = tmp_path / "header.csv"
+        data.write_text("\n".join(["time,da,rt", *lines[1:]]) + "\n", encoding="utf-8")
+        rc = main(["acf", "--config", ws.config, "--data", str(data), "--out", str(tmp_path / "acf.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {data}: line 1: expected header 'timestamp,dalmp,rtlmp', got ['time', 'da', 'rt']" in err
+        assert "Traceback" not in err
+
+    def test_missing_hour_exits_one_naming_path(self, ws, tmp_path, capsys):
+        lines = Path(ws.data).read_text(encoding="utf-8").splitlines()
+        stamp = lines[3].split(",")[0]
+        data = tmp_path / "gap.csv"
+        data.write_text("\n".join(lines[:3] + lines[4:]) + "\n", encoding="utf-8")
+        rc = main(["acf", "--config", ws.config, "--data", str(data), "--out", str(tmp_path / "acf.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {data}: missing hour {stamp}" in err
+        assert not (tmp_path / "acf.csv").exists()
+
     def test_fitting_baseline_pipeline_exits_one(self, ws, tmp_path, capsys):
         config = write_config(tmp_path, "base.json", pipeline="baseline")
         rc = main(

@@ -126,8 +126,9 @@ class TestLoadCsv:
             "2015-01-05T04:00Z,7.0,8.0\n",
         )
         with caplog.at_level(logging.WARNING, logger="lmpcast.dataio"):
-            with pytest.raises(GapError, match="^missing hour 2015-01-05T02:00Z$"):
+            with pytest.raises(GapError) as raised:
                 load_lmp_csv(path)
+        assert str(raised.value) == f"{path}: missing hour 2015-01-05T02:00Z"
         assert "averaged 1 duplicated hour(s)" in caplog.text
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

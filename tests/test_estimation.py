@@ -214,6 +214,21 @@ class TestFit:
         np.testing.assert_allclose(shape.phi, coeffs_to_pacf(np.array(start.phi))[:1], atol=1e-12)
         assert shape.theta == []
 
+    def test_fewer_working_hours_than_coefficients_rejected(self):
+        # ARMA(5,5) needs six hours to filter at all, but ten to be determined
+        y = series(np.random.default_rng(97).normal(size=8))
+        with pytest.raises(SeriesTooShort, match="8 working hours cannot determine 10 AR/MA coefficients"):
+            fit(ModelSpec(p=5, q=5), y, options=FAST)
+
+    def test_starts_with_non_finite_innovations_fail(self):
+        # every start of an overflowing working series is a failed start
+        from lmpcast.estimation import _fit_shape
+
+        w = np.random.default_rng(98).normal(size=200)
+        w[50] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(EstimationFailed, match="no optimizer start produced"):
+            _fit_shape(ModelSpec(p=1, q=1), w, None, np.zeros(2), FitOptions(restarts=2))
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             FitOptions(max_iterations=50)

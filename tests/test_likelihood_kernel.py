@@ -9,8 +9,11 @@ that overlap may sum in a different order.
 
 The concentrated likelihood is checked against least squares over the
 reference-filtered columns, against the reference likelihood at its own
-``(mu, gamma)`` and at perturbed ones, and against the search it replaced,
-which ran the simplex over ``mu`` and ``gamma`` too.
+``(mu, gamma)`` and at perturbed ones, and its Jacobian against central
+differences of the reference innovations. The Levenberg-Marquardt fit is
+checked against Nelder-Mead on the reference objective and against the
+search before concentration, which ran the simplex over ``mu`` and
+``gamma`` too.
 """
 
 import math
@@ -40,6 +43,7 @@ from lmpcast.estimation import (
     _run_simplex,
     _starting_vector,
     _unpack,
+    _unpack_jacobian,
     fit,
 )
 from lmpcast.garch import _variance_recursion
@@ -125,7 +129,8 @@ def with_beta(spec, params, beta):
 
 
 def reference_search_loglik(spec, y, exog, options):
-    """Log-likelihood of the search before concentration.
+    """Log-likelihood of the search before concentration, and whether it
+    converged before its cap.
 
     The simplex ran over the PACF coordinates and ``(mu, gamma)``, started
     from least squares on the regressors and the sample partial
@@ -148,7 +153,7 @@ def reference_search_loglik(spec, y, exog, options):
     best = _run_simplex(objective, x0, options)
     params = reference_unpack(spec, best.x)
     _, sigma2 = reference_profiled(spec, params, w, U)
-    return log_likelihood(spec, replace(params, sigma2=sigma2), y, exog)
+    return log_likelihood(spec, replace(params, sigma2=sigma2), y, exog), bool(best.success)
 
 
 def _series(n=800, seed=0):
@@ -286,6 +291,73 @@ def test_objective_equals_the_reference_at_random_points(case):
         np.testing.assert_allclose(loglik, reference_concentrated(spec, want, w, U)[0], rtol=1e-12)
 
 
+JACOBIAN_CASES = {
+    "arma23": (ModelSpec(p=2, q=3), ParameterVector(phi=(0.5, -0.2), theta=(0.3, 0.1, -0.1))),
+    "fit_once_sarima": CASES["sarima"],
+    "armax": CASES["armax"],
+    "no_constant": CASES["no_constant"],
+    "zero_ma": CASES["zero_ma"],
+    # phi_3 = 0 drops from the lag array, but its derivative still reads lag 3
+    "trailing_zero_ar": CASES["trailing_zero_ar"],
+}
+FACTORS = ("phi", "Phi", "theta", "Theta")
+
+
+def reference_regressor_rows(spec, params, w, U):
+    """The filtered regressor rows: minus the reference innovations of a unit coefficient on a zero series."""
+    zeros = np.zeros_like(w)
+    shape = replace(params, mu=0.0, gamma=(0.0,) * spec.exog_count)
+    rows = [-reference_innovations(spec, replace(shape, mu=1.0), zeros, U)] if spec.constant else []
+    for j in range(spec.exog_count):
+        unit = tuple(float(i == j) for i in range(spec.exog_count))
+        rows.append(-reference_innovations(spec, replace(shape, gamma=unit), zeros, U))
+    return np.array(rows).reshape(len(rows), w.shape[0])
+
+
+@pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+def test_filter_jacobian_equals_central_differences(case):
+    # at the kernel's beta, held fixed, each coefficient moved both ways
+    # through the reference filter; Kaufman's form projects the regressor
+    # rows out of both sides
+    spec, params = JACOBIAN_CASES[case]
+    y = _series()
+    w, U = _working_series(spec, y, _exog(y) if spec.exog_count else None)
+    eps, beta, J = arima._concentrated(spec, params, w, U, jacobian=True)
+    fixed = with_beta(spec, params, beta)
+    np.testing.assert_allclose(eps, reference_innovations(spec, fixed, w, U), rtol=1e-10, atol=1e-12)
+    h = 1e-6
+    columns = []
+    for name in FACTORS:
+        coeffs = np.array(getattr(fixed, name))
+        for step in h * np.eye(coeffs.shape[0]):
+            up, down = (reference_innovations(spec, replace(fixed, **{name: tuple(c)}), w, U)
+                        for c in (coeffs + step, coeffs - step))
+            columns.append((up - down) / (2.0 * h))
+    want = np.column_stack(columns)
+    Z = reference_regressor_rows(spec, params, w, U)
+    if Z.shape[0]:
+        Q = np.linalg.qr(Z.T)[0]
+        want = want - Q @ (Q.T @ want)
+        # the projected Jacobian is orthogonal to the filtered regressor rows
+        cosines = (Z @ J) / np.outer(np.linalg.norm(Z, axis=1), np.linalg.norm(J, axis=0))
+        assert np.abs(cosines).max() < 1e-10
+    assert J.shape == (w.shape[0], spec.p + spec.P + spec.q + spec.Q)
+    np.testing.assert_allclose(J, want, rtol=1e-6, atol=1e-6 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+def test_pacf_map_jacobian_equals_central_differences(case):
+    spec, _ = JACOBIAN_CASES[case]
+    k = spec.p + spec.P + spec.q + spec.Q
+    h = 1e-6
+    for vec in (np.zeros(k), np.random.default_rng(8).normal(0.0, 1.0, k)):
+        want = np.column_stack([
+            (np.concatenate(_unpack(spec, vec + h * e)) - np.concatenate(_unpack(spec, vec - h * e))) / (2.0 * h)
+            for e in np.eye(k)
+        ])
+        np.testing.assert_allclose(_unpack_jacobian(spec, vec), want, rtol=1e-6, atol=1e-9)
+
+
 def test_pacf_map_equals_the_array_recursion():
     rng = np.random.default_rng(3)
     for k in range(7):
@@ -302,42 +374,58 @@ FITS = {
 }
 
 
+def reference_concentrated_search(spec, y, exog, options):
+    """The concentrated fit as Nelder-Mead on the reference objective: the
+    search ``fit`` ran before it fitted from the filter Jacobian, with the
+    same first start. Returns the log-likelihood of its optimum and whether
+    the simplex converged before its cap."""
+    w, U = _working_series(spec, y, exog)
+
+    def objective(vec):
+        loglik = reference_concentrated(spec, _unpack(spec, vec), w, U)[0]
+        return -loglik if math.isfinite(loglik) else 1e300
+
+    best = _run_simplex(objective, _starting_vector(spec, w, None), options)
+    shape = _unpack(spec, best.x)
+    _, sigma2, beta = reference_concentrated(spec, shape, w, U)
+    params = with_beta(spec, ParameterVector(*shape, sigma2=sigma2), beta)
+    return log_likelihood(spec, params, y, exog), bool(best.success)
+
+
 @pytest.mark.parametrize("name", sorted(FITS))
-def test_fit_takes_the_same_steps_as_the_reference_objective(name, monkeypatch):
-    # the kernel and the reference agree to rounding, which may flip a
-    # near-tie in the simplex: the paths match to within a few steps
+def test_fit_reaches_the_reference_objective_optimum(name):
+    # the kernel's Levenberg-Marquardt fit against the simplex on the
+    # reference objective: at least as high, and the same optimum
     spec, with_exog = FITS[name]
     y = _series(600, seed=4)
     exog = _exog(y) if with_exog else None
     options = FitOptions(restarts=2, seed=3)
     kernel = fit(spec, y, exog, options)
-    calls = []
-
-    def reference(*args):
-        calls.append(1)
-        return reference_concentrated(*args)
-
-    monkeypatch.setattr(estimation, "profiled_log_likelihood", reference)
-    oracle = fit(spec, y, exog, options)
-    assert len(calls) > 1  # the reference objective really ran the search
-    assert kernel.diagnostics.converged and oracle.diagnostics.converged
-    assert kernel.diagnostics.evaluations > 0
-    assert abs(kernel.diagnostics.iterations - oracle.diagnostics.iterations) <= 5
-    np.testing.assert_allclose(kernel.loglik, oracle.loglik, rtol=1e-10)
-    for name in ("phi", "Phi", "theta", "Theta", "gamma"):
-        np.testing.assert_allclose(getattr(kernel.params, name), getattr(oracle.params, name), atol=1e-5)
-    np.testing.assert_allclose(kernel.params.mu, oracle.params.mu, atol=1e-5)
-    np.testing.assert_allclose(kernel.params.sigma2, oracle.params.sigma2, rtol=1e-8)
+    oracle_loglik, oracle_converged = reference_concentrated_search(spec, y, exog, options)
+    assert kernel.diagnostics.converged and oracle_converged
+    assert 0 < kernel.diagnostics.iterations <= kernel.diagnostics.evaluations
+    assert kernel.loglik >= oracle_loglik - 1e-9
+    np.testing.assert_allclose(kernel.loglik, oracle_loglik, rtol=1e-10)
 
 
 def test_every_grid_cell_reaches_the_reference_search():
+    # cells where the reference simplex stops at its cap prove nothing
+    # either way; they are exempt and named
     truth = ParameterVector(phi=(0.9,), theta=(0.25, 0.1), mu=0.6, sigma2=1.0)
     y = simulate(ModelSpec(p=1, q=2), truth, 1500, seed=12)
     options = FitOptions(restarts=1, seed=0)
-    for p in range(1, 4):
-        for q in range(1, 4):
+    below, capped = [], []
+    for p in range(1, 6):
+        for q in range(1, 6):
             spec = ModelSpec(p=p, q=q)
-            assert fit(spec, y, options=options).loglik >= reference_search_loglik(spec, y, None, options) - 1e-9, (p, q)
+            loglik = fit(spec, y, options=options).loglik
+            reference, converged = reference_search_loglik(spec, y, None, options)
+            if not converged:
+                capped.append((p, q))
+            elif loglik < reference - 1e-9:
+                below.append(((p, q), loglik - reference))
+    assert below == [], f"below the reference; exempt at the reference's cap: {capped}"
+    assert len(capped) < 25
 
 
 def reference_variance_recursion(alpha0, alpha, beta, eps2, v0):

@@ -4,7 +4,8 @@ only by the field tables' leaf readers, CSV cells are formatted only by
 ``dataio``'s table writer, a regressor matrix's column count is read only
 by ``arima``'s regressor rule, the package never imports ``scipy.signal``
 or ``scipy.linalg`` and start-up imports no ``scipy.optimize``, with one
-``lfilter`` in the package, and hours are rendered only by ``series.format_hour``."""
+``lfilter`` in the package, hours are rendered only by ``series.format_hour``,
+and only the GARCH fit runs the Nelder-Mead search."""
 
 import ast
 from pathlib import Path
@@ -167,6 +168,26 @@ def isoformat_uses(modules):
             if isinstance(sub, ast.Attribute) and sub.attr == "isoformat"]
 
 
+# the Nelder-Mead search and the one function that may use it: the mean
+# equation is fitted by Levenberg-Marquardt from the filter Jacobian
+SIMPLEX = "_run_simplex"
+SIMPLEX_USERS = [("estimation.py", "fit_garch")]
+
+
+def simplex_users(modules):
+    """``(module, definition)`` of each top-level definition other than the
+    search's own that names ``_run_simplex``, once per reference."""
+    found = []
+    for module, tree in modules:
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            if own == SIMPLEX:
+                continue
+            found += [(module, own) for sub in ast.walk(node)
+                      if SIMPLEX in (getattr(sub, "id", None), getattr(sub, "attr", None), getattr(sub, "name", None))]
+    return found
+
+
 def parse_src():
     return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
 
@@ -287,3 +308,21 @@ def test_check_sees_isoformat():
     )
     arima = ast.parse("from datetime import datetime\n\nRENDER = datetime.isoformat\n")
     assert isoformat_uses([("series.py", series), ("arima.py", arima)]) == ["series.py:5", "arima.py:3"]
+
+
+def test_only_the_garch_fit_runs_the_simplex():
+    assert simplex_users(parse_src()) == SIMPLEX_USERS
+
+
+def test_check_sees_the_simplex_outside_the_garch_fit():
+    estimation = ast.parse(
+        "def _run_simplex(objective, x0, options):\n    return _run_simplex(objective, x0, options)\n\n"
+        "def fit_garch(r):\n    return _run_simplex(r, 0, 1)\n\n"
+        "def fit(spec):\n    search = _run_simplex\n    return search(spec, 0, 1)\n\n"
+        "SEARCH = _run_simplex\n"
+    )
+    backtest = ast.parse("from .estimation import _run_simplex\n\ndef refit(e):\n    return e._run_simplex(0, 0, 0)\n")
+    assert simplex_users([("estimation.py", estimation), ("backtest.py", backtest)]) == [
+        ("estimation.py", "fit_garch"), ("estimation.py", "fit"), ("estimation.py", None),
+        ("backtest.py", None), ("backtest.py", "refit"),
+    ]
