@@ -8,6 +8,7 @@ stateless subcommands hand artifacts to each other.
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -355,6 +356,23 @@ class TestSynth:
             main(["synth", "--config", ws.config, "--out", str(out)])
         assert "effective config" in caplog.text
         assert '"seed": 123' in caplog.text
+
+    @pytest.mark.parametrize("verbose", [True, False])
+    def test_verbose_logs_one_load_line_on_stderr(self, ws, tmp_path, verbose):
+        # a fresh interpreter: pytest's own log handlers keep basicConfig from reaching stderr here
+        argv = ["--verbose"] * verbose + ["acf", "--config", ws.config, "--data", ws.data, "--out", str(tmp_path / "acf.csv")]
+        src = str(Path(lmpcast.cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "lmpcast.cli", *argv], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        loads = [line for line in run.stderr.splitlines() if line.startswith("DEBUG lmpcast.dataio")]
+        if verbose:
+            assert len(loads) == 1
+            assert re.fullmatch(rf"DEBUG lmpcast.dataio: {re.escape(ws.data)}: read 480 rows with the array reader "
+                                r"in [0-9]+\.[0-9] ms", loads[0])
+        else:
+            assert loads == []
 
 
 class TestAcf:

@@ -2,11 +2,13 @@
 
 import logging
 import re
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+from lmpcast import dataio
 from lmpcast.arima import ModelSpec, ParameterVector
 from lmpcast.dataio import (
     MarketDataset,
@@ -21,6 +23,7 @@ from lmpcast.errors import (
     AlignmentError,
     GapError,
     IoError,
+    LmpcastError,
     ParseError,
     SchemaError,
     UnstableParameters,
@@ -207,8 +210,10 @@ class TestLoadCsv:
             load_lmp_csv(path)
 
     def test_unreadable_path(self, tmp_path):
-        with pytest.raises(IoError):
-            load_lmp_csv(tmp_path / "absent.csv")
+        path = tmp_path / "absent.csv"
+        with pytest.raises(IoError) as raised:
+            load_lmp_csv(path)
+        assert str(raised.value) == f"cannot read {path}: [Errno 2] No such file or directory: {str(path)!r}"
 
     def test_gap_policy_validated(self, tmp_path):
         path = write(tmp_path / "ok.csv", "2015-01-05T00:00Z,25.10,24.80\n")
@@ -276,6 +281,168 @@ def synth_config(**overrides):
     )
     base.update(overrides)
     return SynthConfig(**base)
+
+
+def line_reader_only(monkeypatch):
+    """Send every file through the line reader, as if none had write_lmp_csv's shape."""
+    monkeypatch.setattr(dataio, "_read_canonical", lambda data: None)
+
+
+def synth_rows(start, length=60, seed=0):
+    """The data lines of a spiky synth market written by write_lmp_csv."""
+    data = synth_market(synth_config(start=start, length=length, seed=seed, spike_rate=0.05))
+    columns = dict(zip(HEADER.strip().split(","), (data.dalmp, data.dalmp.values, data.rtlmp.values)))
+    return csv_table(columns, floats=("dalmp", "rtlmp")).splitlines(keepends=True)[1:]
+
+
+def positional(values, digits=None):
+    """Prices as plain decimals: shortest round-trip digits, or ``digits`` after the point."""
+    return [f"{v:.{digits}f}" if digits else np.format_float_positional(v, trim="0") for v in values]
+
+
+def corpus():
+    """The equality oracle's files: name -> (lines, gap policy, whether the array reader takes the file)."""
+    leap = synth_rows(datetime(2016, 2, 28, 20, tzinfo=timezone.utc))
+    new_year = synth_rows(datetime(2015, 12, 31, 20, tzinfo=timezone.utc), seed=1)
+    other = synth_rows(datetime(2016, 2, 28, 20, tzinfo=timezone.utc), seed=2)
+    shuffled = list(leap)
+    np.random.default_rng(40).shuffle(shuffled)
+    gappy = leap[:10] + leap[13:30] + leap[31:]
+    rng = np.random.default_rng(41)
+    hours = [format_hour(MONDAY + HOUR * h) for h in range(40)]
+    wide = rng.normal(30.0, 20.0, (40, 2))
+    extremes = [5e-324, 2.5e-320, -2.2250738585072014e-308, 1e300, -1.7976931348623157e308, 0.1 + 0.2]
+    return {
+        "leap-day": (leap, "reject", True),
+        "year-boundary": (new_year, "reject", True),
+        "shuffled": (shuffled, "reject", True),
+        "duplicated-hours": (leap + other[5:9] + other[7:8], "reject", True),
+        "missing-hours-rejected": (gappy, "reject", True),
+        "missing-hours-filled": (gappy, "forward-fill", True),
+        "shuffled-duplicated-missing-filled": (shuffled[::2] + shuffled[:7], "forward-fill", True),
+        "negative-zero": (["2015-01-05T00:00Z,-0.000000,0.000000\n", "2015-01-05T01:00Z,-0.000000,-1.500000\n",
+                           "2015-01-05T01:00Z,-0.000000,1.500000\n"], "reject", True),
+        "subnormal-and-extreme": ([f"{h},{a},{b}\n" for h, a, b in zip(hours, positional(extremes),
+                                                                   positional(extremes[::-1]))], "reject", True),
+        "17-significant-digits": ([f"{h},{a},{b}\n" for h, (a, b) in zip(hours, zip(
+            positional(wide[:, 0] + 50.0, digits=15), positional(wide[:, 1])))], "reject", True),
+        "one-row": (leap[:1], "reject", True),
+        "year-0": (["0000-12-31T22:00Z,1.0,2.0\n", "0000-12-31T23:00Z,3.0,4.0\n"], "reject", False),
+    }
+
+
+def outcome(path, gap_policy, caplog):
+    """What loading ``path`` gives: the dataset or the error, the WARNING lines and the DEBUG lines."""
+    caplog.clear()
+    try:
+        data = load_lmp_csv(path, gap_policy)
+    except LmpcastError as exc:
+        result = (type(exc), str(exc))
+    else:
+        result = (data.start, data.node, [(s.units, s.values.tolist(), np.signbit(s.values).tolist())
+                                          for s in (data.dalmp, data.rtlmp)])
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    readers = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    return result, warnings, readers
+
+
+class TestArrayReader:
+    @pytest.mark.parametrize("name", list(corpus()))
+    def test_both_readers_give_equal_datasets_warnings_and_errors(self, tmp_path, monkeypatch, caplog, name):
+        lines, gap_policy, canonical = corpus()[name]
+        path = write(tmp_path / f"{name}.csv", "".join(lines))
+        assert (dataio._read_canonical(path.read_bytes()) is not None) == canonical
+        with caplog.at_level(logging.DEBUG, logger="lmpcast.dataio"):
+            arrays, arrays_warned, arrays_read = outcome(path, gap_policy, caplog)
+            with monkeypatch.context() as patched:
+                line_reader_only(patched)
+                lines_only, lines_warned, _ = outcome(path, gap_policy, caplog)
+        assert arrays == lines_only
+        assert arrays_warned == lines_warned
+        if isinstance(arrays[0], datetime):
+            reader = "array" if canonical else "line"
+            assert re.fullmatch(rf"{re.escape(str(path))}: read {len(lines)} rows with the {reader} reader in [0-9.]+ ms",
+                                arrays_read[-1])
+
+    @pytest.mark.parametrize("row, error", [
+        ("0000-01-05T00:00Z,1.0,2.0", "not an ISO-8601 UTC whole hour: '0000-01-05T00:00Z'"),  # numpy reads year 0
+        ("2001-02-29T00:00Z,1.0,2.0", "not an ISO-8601 UTC whole hour: '2001-02-29T00:00Z'"),
+        ("2015-01-05T24:00Z,1.0,2.0", "not an ISO-8601 UTC whole hour: '2015-01-05T24:00Z'"),
+        ("2015-01-05T02:00Z,1" + "0" * 400 + ".0,2.0", "price fields must be finite"),
+        ("2015-01-05T02:00Z,0." + "0" * 200_000 + "1,2.0", "field larger than field limit"),
+    ], ids=["year-0", "2001-02-29", "hour-24", "infinite-price", "oversized-field"])
+    def test_rows_the_arrays_would_misread_go_to_the_line_reader(self, tmp_path, row, error):
+        path = write(tmp_path / "guard.csv", f"2015-01-05T00:00Z,25.10,24.80\n{row}\n")
+        assert dataio._read_canonical(path.read_bytes()) is None
+        with pytest.raises(ParseError, match=re.escape(f"{path}: line 3: ") + ".*" + re.escape(error)):
+            load_lmp_csv(path)
+
+    @pytest.mark.parametrize("body", [
+        HEADER + '"2015-01-05T00:00Z","25.10","24.80"\n',
+        HEADER + "2015-01-05T00:00Z,25.10,24.80\r\n2015-01-05T01:00Z,24.30,26.00\r\n",
+        HEADER + "2015-01-05T00:00Z,25.10,24.80\r2015-01-05T01:00Z,24.30,26.00\r",
+        HEADER + "2015-01-05T00:00:00Z,25.10,24.80\n",
+        HEADER + "2015-01-05T00:00Z,25.10,24.80\n\n2015-01-05T01:00Z,24.30,26.00\n",
+        HEADER + "2015-01-05T00:00Z,25.10,24.80\n2015-01-05T01:00Z,1e-05,26.00\n",
+        HEADER + "2015-01-05T00:00Z,25.10,24.80,9\n",
+        HEADER + "2015-01-05T00:00Z,25.10\n",
+        HEADER + "2015-01-05T00:00Z,25.10,24.80\n2015-01-05 01:00,24.30,26.00\n",
+        HEADER + "2015-01-05T00:00Z,25.10,cheap\n",
+        HEADER + "2015-01-05T00:00Z,25.10,24.80\n2015-01-05T01:00Z,inf,26.00\n",
+        HEADER + "2015-01-05T00:00Z,25.10,24.80\n2015-01-05T01:00Z,25.10," + "9" * 200_000 + "\n",
+        HEADER + "2015-01-05T00:30Z,25.10,24.80\n",
+        HEADER + "2015-01-05T00:00Z,25,24.80\n",
+        HEADER + "2015-01-05T00:00Z,25.10,24.80",
+        HEADER,
+        "time,da,rt\n2015-01-05T00:00Z,25.10,24.80\n",
+        HEADER.encode() + b"2015-01-05T00:00Z,\xff25.10,24.80\n",
+    ], ids=["quotes", "crlf", "cr", "seconds", "blank-line", "repr-exponent", "four-fields", "two-fields",
+            "space-timestamp", "word-price", "infinite-word", "oversized-field", "half-hour", "integer-price",
+            "no-final-newline", "header-only", "wrong-header", "non-utf8"])
+    def test_every_other_shape_goes_to_the_line_reader(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "other.csv"
+        path.write_bytes(body if isinstance(body, bytes) else body.encode())
+        calls, read_lines = [], dataio._read_lines
+
+        def recording(*args):
+            calls.append(args[0])
+            return read_lines(*args)
+
+        monkeypatch.setattr(dataio, "_read_lines", recording)
+        try:
+            load_lmp_csv(path)
+        except LmpcastError:
+            pass
+        assert calls == [path]
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["array-reader", "line-reader"])
+    def test_the_file_is_opened_once(self, tmp_path, monkeypatch, ending):
+        path = tmp_path / "once.csv"
+        path.write_bytes((HEADER + "2015-01-05T00:00Z,25.10,24.80\n").replace("\n", ending).encode())
+        opened = []
+        monkeypatch.setattr(dataio, "open", lambda *args: opened.append(args) or open(*args), raising=False)
+        assert load_lmp_csv(path).rtlmp.values.tolist() == [24.80]
+        assert opened == [(path, "rb")]
+
+    def test_array_reader_peak_memory_stays_below_the_line_reader(self, tmp_path, monkeypatch):
+        # two years of hours: a greedy whole-file regex (13 MB) or per-field
+        # lists would lift the array reader's peak above the line reader's
+        path = tmp_path / "two-years.csv"
+        write_lmp_csv(synth_market(synth_config(length=17_520, spike_rate=0.01)), path)
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                data = load_lmp_csv(path)
+                return tracemalloc.get_traced_memory()[1], data
+            finally:
+                tracemalloc.stop()
+
+        arrays, by_arrays = traced_peak()
+        line_reader_only(monkeypatch)
+        lines, by_lines = traced_peak()
+        assert by_arrays.dalmp.values.tolist() == by_lines.dalmp.values.tolist()
+        assert arrays < lines
 
 
 class TestSynthMarket:
