@@ -17,8 +17,10 @@ values are backcast with the working-series sample mean, presample
 innovations are set to zero, and the sum runs over the full differenced
 sample. The innovations are linear in ``mu`` and ``gamma``, so for a given
 AR/MA shape the likelihood is maximized over them (and ``sigma2``) in
-closed form (:func:`profiled_log_likelihood`); the same kernel gives the
-innovations' Jacobian for the least-squares search. Every recursion is a linear
+closed form (:func:`profiled_log_likelihood`). The kernel runs in two
+stages: the innovation stage (:func:`_concentrated`) and, from its output,
+the innovations' Jacobian for the least-squares search
+(:func:`_concentrated_jacobian`). Every recursion is a linear
 filter on dense lag arrays built from the factor tuples; the sparse
 :func:`ar_polynomial`/:func:`ma_polynomial` are the public reference. The
 AR side runs as ``np.convolve``, the MA inverse through ``lagpoly.lfilter``,
@@ -395,8 +397,7 @@ def _concentrated(
     params: ParameterVector,
     w: np.ndarray,
     U: np.ndarray | None,
-    jacobian: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Innovations at the least-squares regression coefficients for the shape in ``params``.
 
     Only the AR/MA factors of ``params`` are read (``phi``, ``Phi``,
@@ -407,61 +408,74 @@ def _concentrated(
     zero-state MA inverse filter (Box, Jenkins & Reinsel, ch. 7). ``a``, a
     row of ones for the constant and any regressor columns are rows of one
     array that the filter runs over, and ``beta`` is their least-squares
-    solution.
-
-    With ``jacobian``, also ``de/d(phi, Phi, theta, Theta)``, shaped
-    ``(len(w), k)``, in Kaufman's (1975) variable-projection form: the
-    derivatives at fixed ``beta`` with the filtered regressor rows
-    projected out. At fixed ``beta``
-    ``de/dphi_i = -F(B^i PHI(B^S) w~)`` and ``de/dPHI_j = -F(B^{jS} phi(B) w~)``,
-    further rows of that array; presample innovations are zero, so the filter
-    commutes with the shift and ``de/dtheta_i = B^i e / theta(B)``,
-    ``de/dTHETA_j = B^{jS} e / THETA(B^S)``. Returns ``(e, beta, J)``,
-    ``J`` None without ``jacobian``.
+    solution. This is the innovation stage of the kernel: one pass filters
+    ``1 + r`` rows (``r`` regression coefficients). Returns
+    ``(e, beta, Z)``, ``Z`` the ``r`` filtered regressor rows that
+    :func:`_concentrated_jacobian` projects out.
     """
-    S = spec.diff.S
-    ma = _lag_array(params.theta, params.Theta, S)
-    m = w.shape[0]
+    ma = _lag_array(params.theta, params.Theta, spec.diff.S)
     r = int(spec.constant) + spec.exog_count
-    filtered = 1 + r + spec.p + spec.P if jacobian else 1 + r
-    # rows: the AR side, the regressors, then the Jacobian's AR and MA rows
-    Y = np.empty((filtered + (spec.q + spec.Q if jacobian else 0), m))
+    # rows: the AR side, then the regressors
+    Y = np.empty((1 + r, w.shape[0]))
     Y[0] = _ar_side(spec, params, w)
     if spec.constant:
         Y[1] = 1.0
     if U is not None:
-        Y[1 + int(spec.constant) : 1 + r] = U.T
-    if jacobian:
-        # the full backcast, so the derivative at a zero last coefficient sees its lag
-        K = spec.max_ar_lag
-        w_ext = _backcast(w, K)
-        for factor, order, step, first in ((_lag_array((), params.Phi, S), spec.p, 1, 1 + r),
-                                           (_lag_array(params.phi, (), S), spec.P, S, 1 + r + spec.p)):
-            if order:
-                lagged = np.convolve(factor, w_ext)
-                for i in range(1, order + 1):
-                    Y[first + i - 1] = -lagged[K - i * step : K - i * step + m]
+        Y[1 + int(spec.constant) :] = U.T
     if ma.shape[0] > 1:
         # a row at a time, in place: a stacked call's output would be a second copy of the rows
-        for row in Y[:filtered]:
+        for row in Y:
             row[:] = lfilter([1.0], ma, row)
-    y, Z = Y[0], Y[1 : 1 + r]
+    y, Z = Y[0], Y[1:]
     beta = _regress(Z, y[None])[0] if r else np.empty(0)
     eps = y - beta @ Z if r else y
-    if not jacobian:
-        return eps, beta, None
-    for factor, order, step, first in ((_lag_array(params.theta, (), S), spec.q, 1, filtered),
-                                       (_lag_array((), params.Theta, S), spec.Q, S, filtered + spec.q)):
+    return eps, beta, Z
+
+
+def _concentrated_jacobian(
+    spec: ModelSpec,
+    params: ParameterVector,
+    w: np.ndarray,
+    eps: np.ndarray,
+    Z: np.ndarray,
+) -> np.ndarray:
+    """``de/d(phi, Phi, theta, Theta)`` at the shape in ``params``, shaped ``(len(w), k)``.
+
+    The Jacobian stage of the kernel: ``eps`` and ``Z`` are what
+    :func:`_concentrated` returned at the same shape. Kaufman's (1975)
+    variable-projection form: the derivatives at fixed ``beta`` with the
+    filtered regressor rows ``Z`` projected out. At fixed ``beta``
+    ``de/dphi_i = -F(B^i PHI(B^S) w~)`` and ``de/dPHI_j = -F(B^{jS} phi(B) w~)``;
+    presample innovations are zero, so the filter commutes with the shift
+    and ``de/dtheta_i = B^i e / theta(B)``, ``de/dTHETA_j = B^{jS} e / THETA(B^S)``.
+    One pass filters the ``p + P`` AR rows and ``e`` once per MA factor.
+    """
+    S = spec.diff.S
+    ma = _lag_array(params.theta, params.Theta, S)
+    m = w.shape[0]
+    J = np.empty((spec.p + spec.P + spec.q + spec.Q, m))
+    # the full backcast, so the derivative at a zero last coefficient sees its lag
+    K = spec.max_ar_lag
+    w_ext = _backcast(w, K)
+    for factor, order, step, first in ((_lag_array((), params.Phi, S), spec.p, 1, 0),
+                                       (_lag_array(params.phi, (), S), spec.P, S, spec.p)):
+        if order:
+            lagged = np.convolve(factor, w_ext)
+            for i, row in enumerate(J[first : first + order], start=1):
+                row[:] = -lagged[K - i * step : K - i * step + m]
+                if ma.shape[0] > 1:
+                    row[:] = lfilter([1.0], ma, row)
+    for factor, order, step, first in ((_lag_array(params.theta, (), S), spec.q, 1, spec.p + spec.P),
+                                       (_lag_array((), params.Theta, S), spec.Q, S, spec.p + spec.P + spec.q)):
         if order:
             g = lfilter([1.0], factor, eps) if factor.shape[0] > 1 else eps
-            for i in range(1, order + 1):
-                Y[first + i - 1, : i * step] = 0.0
-                Y[first + i - 1, i * step :] = g[: m - i * step]
-    J = Y[1 + r :]
-    if r:
-        for column, c in zip(J, _regress(Z, J)):
-            column -= c @ Z
-    return eps, beta, J.T
+            for i, row in enumerate(J[first : first + order], start=1):
+                row[: i * step] = 0.0
+                row[i * step :] = g[: m - i * step]
+    if Z.shape[0]:
+        for row, c in zip(J, _regress(Z, J)):
+            row -= c @ Z
+    return J.T
 
 
 def profiled_log_likelihood(
@@ -472,8 +486,8 @@ def profiled_log_likelihood(
 ) -> tuple[float, float, tuple[float, ...]]:
     """Log-likelihood maximized over ``mu``, ``gamma`` and ``sigma2`` for the shape in ``params``.
 
-    Reads the innovations at the least-squares ``beta`` from
-    :func:`_concentrated`; ``sigma2_hat`` is their mean square. Returns
+    Reads the innovations at the least-squares ``beta`` from the innovation
+    stage, :func:`_concentrated`; ``sigma2_hat`` is their mean square. Returns
     ``(loglik, sigma2_hat, beta)``, ``-inf`` where the MA side overflows.
     """
     eps, beta, _ = _concentrated(spec, params, w, U)

@@ -1,18 +1,23 @@
 """Maximum-likelihood estimation, BIC, and grid order selection.
 
 The mean equation is fitted by Levenberg-Marquardt (Marquardt 1963;
-MINPACK's ``lmder`` through ``scipy.optimize.least_squares``) on the
+MINPACK's ``lmder`` through ``scipy.optimize.leastsq``) on the
 concentrated innovations, in an unconstrained coordinate system: AR and MA
 factor coefficients are mapped through the partial-autocorrelation
 reparameterization (each factor independently), so every point the search
 visits is stationary and invertible. The intercept, the regression
 coefficients and the innovation variance are concentrated out in closed
-form, so the search sees only the AR/MA shape. Its Jacobian is the filter
-Jacobian of :func:`lmpcast.arima._concentrated` in Kaufman's (1975)
+form, so the search sees only the AR/MA shape. Each point it visits is
+filtered once: one innovation pass (:func:`lmpcast.arima._concentrated`)
+filters the AR side of the working series and one row per regression
+coefficient, and the Jacobian at that point
+(:func:`lmpcast.arima._concentrated_jacobian`, Kaufman's (1975)
 variable-projection form, carried through the PACF map by a ``k x k``
-matrix. Unless a start is given, the first start is the sample partial
-autocorrelations of the working series from the Durbin-Levinson recursion
-for the AR factors and white noise for the MA side.
+matrix) reuses that pass and filters only the ``p + P`` AR rows and the
+innovations once per MA factor. Unless a start is given, the first start
+is the sample partial autocorrelations of the working series from the
+Durbin-Levinson recursion for the AR factors and white noise for the MA
+side.
 GARCH coefficients are fitted by a Nelder-Mead simplex, mapped through
 exp/softmax-style transforms that keep them non-negative with persistence
 below one. Both searches are multi-start with seeded jitter and therefore
@@ -21,7 +26,9 @@ deterministic.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, NamedTuple
 
@@ -33,12 +40,12 @@ from .arima import (
     OriginForecasts,
     ParameterVector,
     _concentrated,
+    _concentrated_jacobian,
     _end_of_history_paths,
     _gaussian_log_likelihood,
     _lag_array,
     _validate_exog,
     _working_series,
-    profiled_log_likelihood,
     residuals,
 )
 from .errors import DegenerateSeries, EstimationFailed, LmpcastError, SeriesTooShort
@@ -62,6 +69,8 @@ __all__ = [
     "model_forecast",
 ]
 
+log = logging.getLogger(__name__)
+
 # partial autocorrelations are kept strictly inside the unit interval so
 # the implied polynomials clear the stability tolerance with room to spare
 _PACF_LIMIT = 0.9999
@@ -77,9 +86,11 @@ class FitOptions:
     later ones jitter it with noise drawn from ``seed``; the best end wins.
     ``max_iterations`` is a budget counted in likelihood evaluations. The
     GARCH simplex stops after that many iterations or evaluations. A
-    Levenberg-Marquardt step of the mean equation filters the innovations
-    and ``k`` Jacobian rows (``k`` AR/MA coefficients), so that search stops
-    after ``max_iterations // (k + 1)`` innovation evaluations.
+    Levenberg-Marquardt step of the mean equation (``leastsq``) evaluates
+    the innovations and a Jacobian of ``k`` columns (``k`` AR/MA
+    coefficients), so that search stops after ``max_iterations // (k + 1)``
+    innovation evaluations, as it always has; the Jacobian reuses the
+    innovation pass at its point.
     ``tolerance`` is the simplex's tolerance on the objective, so it bounds
     the GARCH fit only; the Levenberg-Marquardt search stops on MINPACK's
     tests at fixed tolerances (relative reduction of the sum of squares
@@ -275,37 +286,84 @@ def _run_simplex(objective, x0: np.ndarray, options: FitOptions):
     return _multistart(search, x0, options)
 
 
-def _fit_shape(spec: ModelSpec, w: np.ndarray, U: np.ndarray | None, x0: np.ndarray, options: FitOptions):
+class _ShapeFit(NamedTuple):
+    """The winning Levenberg-Marquardt run of :func:`_fit_shape`.
+
+    ``x`` is where it ended, ``cost`` half the sum of squares there,
+    ``info`` MINPACK's termination code (1 to 4: a convergence test passed;
+    5: the cap), ``nfev`` and ``njev`` its innovation and Jacobian
+    evaluations, and ``eps`` and ``beta`` the innovations and regression
+    coefficients at ``x``.
+    """
+
+    x: np.ndarray
+    cost: float
+    info: int
+    nfev: int
+    njev: int
+    eps: np.ndarray
+    beta: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        return 1 <= self.info <= 4
+
+
+def _fit_shape(spec: ModelSpec, w: np.ndarray, U: np.ndarray | None, x0: np.ndarray, options: FitOptions) -> _ShapeFit:
     """Best of ``options.restarts`` Levenberg-Marquardt runs on the concentrated innovations.
 
-    MINPACK's ``lmder`` (Marquardt 1963) through ``least_squares``, with the
-    analytic Jacobian of :func:`lmpcast.arima._concentrated` carried to the
-    search coordinates by :func:`_unpack_jacobian`. One step filters the
-    innovations and ``k`` Jacobian rows, so the cap of
-    ``max_iterations // (k + 1)`` innovation evaluations keeps
+    MINPACK's ``lmder`` (Marquardt 1963) through ``leastsq``, with the
+    analytic Jacobian of :func:`lmpcast.arima._concentrated_jacobian`
+    carried to the search coordinates by :func:`_unpack_jacobian`. One
+    step evaluates the innovations and ``k`` Jacobian columns, so the cap
+    of ``max_iterations // (k + 1)`` innovation evaluations keeps
     ``max_iterations`` a budget counted in likelihood evaluations.
+
+    The last point filtered is kept, keyed on the exact bytes of the
+    search vector, and any other point is filtered afresh. ``lmder`` takes
+    a Jacobian only where it last evaluated the innovations, so the
+    Jacobian reuses that innovation pass; the start's finiteness check and
+    ``leastsq``'s start-up calls are ``lmder``'s first two evaluations,
+    and the winner's innovations are usually the last ones filtered.
     """
-    from scipy.optimize import least_squares  # here, so a command that fits nothing never imports it
+    from scipy.optimize import leastsq  # here, so a command that fits nothing never imports it
+
+    # the last point filtered: its key, shape and innovation stage, and the key ``out`` holds the Jacobian of
+    key = shape = stage = jacobian_key = None
+
+    def innovation_stage(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        nonlocal key, shape, stage
+        if vec.tobytes() != key:
+            key, shape = vec.tobytes(), _unpack(spec, vec)
+            stage = _concentrated(spec, shape, w, U)
+        return stage
 
     def innovations(vec: np.ndarray) -> np.ndarray:
-        return _concentrated(spec, _unpack(spec, vec), w, U)[0]
+        return innovation_stage(vec)[0]
 
-    # every Jacobian is written into this one array (least_squares hands
-    # MINPACK and its result copies); a new array per step raised peak memory
+    # every Jacobian is written into this one array (MINPACK copies it);
+    # a new array per step raised peak memory
     out = np.empty((w.shape[0], x0.shape[0]))
 
     def jacobian(vec: np.ndarray) -> np.ndarray:
-        J = _concentrated(spec, _unpack(spec, vec), w, U, jacobian=True)[2]
-        return np.matmul(J, _unpack_jacobian(spec, vec), out=out)
+        nonlocal jacobian_key
+        eps, _, Z = innovation_stage(vec)
+        if jacobian_key != key:
+            np.matmul(_concentrated_jacobian(spec, shape, w, eps, Z), _unpack_jacobian(spec, vec), out=out)
+            jacobian_key = key
+        return out
 
     def search(start):
         if not np.isfinite(innovations(start)).all():
             return math.inf, None
-        res = least_squares(innovations, start, jac=jacobian, method="lm", ftol=1e-12, xtol=1e-10, gtol=1e-10,
-                            max_nfev=options.max_iterations // (x0.shape[0] + 1))
-        return res.cost, res
+        x, _, info, _, ier = leastsq(innovations, start, Dfun=jacobian, full_output=True, ftol=1e-12, xtol=1e-10,
+                                     gtol=1e-10, maxfev=options.max_iterations // (x0.shape[0] + 1))
+        cost = 0.5 * np.dot(info["fvec"], info["fvec"])
+        return cost, (x, cost, int(ier), int(info["nfev"]), int(info["njev"]))
 
-    return _multistart(search, x0, options)
+    x, cost, ier, nfev, njev = _multistart(search, x0, options)
+    eps, beta, _ = innovation_stage(x)
+    return _ShapeFit(x, cost, ier, nfev, njev, eps, beta)
 
 
 def fit(
@@ -320,13 +378,15 @@ def fit(
     Levenberg-Marquardt (:func:`_fit_shape`) searches only the AR/MA shape,
     in reparameterized coordinates, so the returned parameters always
     satisfy stationarity and invertibility; ``mu``, ``gamma`` and ``sigma2``
-    come in closed form at every point
-    (:func:`lmpcast.arima.profiled_log_likelihood`). A spec without AR/MA
+    come in closed form at every point, from the innovation pass the search
+    made there (:func:`lmpcast.arima._concentrated`). A spec without AR/MA
     terms is fitted in closed form alone. ``start`` (say, the fit at the
     previous origin of a rolling backtest) replaces the moment-based first
     start. The stored log-likelihood is that of the returned parameters,
-    from the residuals :func:`assemble_fit` filters.
+    from the residuals :func:`assemble_fit` filters. Each fit logs one
+    DEBUG line with its evaluations and wall time.
     """
+    began = time.perf_counter()
     _validate_exog(spec, series, exog)
     w, U = _working_series(spec, series, exog)
     k = spec.p + spec.P + spec.q + spec.Q
@@ -334,12 +394,13 @@ def fit(
         raise SeriesTooShort(f"{w.shape[0]} working hours cannot determine {k} AR/MA coefficients")
     if k:
         best = _fit_shape(spec, w, U, _starting_vector(spec, w, start), options)
-        shape = _unpack(spec, best.x)
-        converged, iterations, evaluations = bool(best.status > 0), int(best.njev), int(best.nfev)
+        shape, eps, beta = _unpack(spec, best.x), best.eps, best.beta
+        converged, iterations, evaluations = best.converged, best.njev, best.nfev
     else:
         shape = _Shape([], [], [], [])
+        eps, beta, _ = _concentrated(spec, shape, w, U)
         converged, iterations, evaluations = True, 0, 1
-    _, sigma2, beta = profiled_log_likelihood(spec, shape, w, U)
+    sigma2 = float(np.dot(eps, eps) / eps.shape[0])
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
         raise EstimationFailed("optimum has degenerate innovation variance")
     c = int(spec.constant)
@@ -358,7 +419,12 @@ def fit(
         boundary_flags=tuple(flags),
         evaluations=evaluations,
     )
-    return assemble_fit(spec, params, series, exog, diagnostics)
+    fitted = assemble_fit(spec, params, series, exog, diagnostics)
+    log.debug("fit ARIMA(%d,%d,%d)(%d,%d,%d)_%d with %d regressors and %s constant: %d innovation and "
+              "%d Jacobian evaluations, %s, in %.1f ms", spec.p, spec.diff.d, spec.q, spec.P, spec.diff.D, spec.Q,
+              spec.diff.S, spec.exog_count, "a" if spec.constant else "no", evaluations, iterations,
+              "converged" if converged else "not converged", (time.perf_counter() - began) * 1e3)
+    return fitted
 
 
 def assemble_fit(

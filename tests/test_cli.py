@@ -357,22 +357,46 @@ class TestSynth:
         assert "effective config" in caplog.text
         assert '"seed": 123' in caplog.text
 
-    @pytest.mark.parametrize("verbose", [True, False])
-    def test_verbose_logs_one_load_line_on_stderr(self, ws, tmp_path, verbose):
+    @staticmethod
+    def _stderr_lines(argv, prefix):
         # a fresh interpreter: pytest's own log handlers keep basicConfig from reaching stderr here
-        argv = ["--verbose"] * verbose + ["acf", "--config", ws.config, "--data", ws.data, "--out", str(tmp_path / "acf.csv")]
         src = str(Path(lmpcast.cli.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = subprocess.run([sys.executable, "-m", "lmpcast.cli", *argv], env=env, capture_output=True, text=True,
                              timeout=120)
         assert run.returncode == 0, run.stderr
-        loads = [line for line in run.stderr.splitlines() if line.startswith("DEBUG lmpcast.dataio")]
+        return [line for line in run.stderr.splitlines() if line.startswith(prefix)]
+
+    @pytest.mark.parametrize("verbose", [True, False])
+    def test_verbose_logs_one_load_line_on_stderr(self, ws, tmp_path, verbose):
+        argv = ["--verbose"] * verbose + ["acf", "--config", ws.config, "--data", ws.data, "--out", str(tmp_path / "acf.csv")]
+        loads = self._stderr_lines(argv, "DEBUG lmpcast.dataio")
         if verbose:
             assert len(loads) == 1
             assert re.fullmatch(rf"DEBUG lmpcast.dataio: {re.escape(ws.data)}: read 480 rows with the array reader "
                                 r"in [0-9]+\.[0-9] ms", loads[0])
         else:
             assert loads == []
+
+    @pytest.mark.parametrize("verbose", [True, False])
+    def test_verbose_logs_one_fit_line_on_stderr(self, ws, tmp_path, verbose):
+        model = tmp_path / "model.json"
+        argv = ["--verbose"] * verbose + ["fit", "--config", ws.config, "--data", ws.data, "--out", str(model)]
+        fits = self._stderr_lines(argv, "DEBUG lmpcast.estimation")
+        # the artifact carries no wall time: the same bytes with and without the flag
+        plain = tmp_path / "plain.json"
+        assert main(["fit", "--config", ws.config, "--data", ws.data, "--out", str(plain)]) == 0
+        assert model.read_bytes() == plain.read_bytes()
+        if verbose:
+            assert len(fits) == 1
+            line = re.fullmatch(r"DEBUG lmpcast.estimation: fit ARIMA\(1,0,2\)\(0,0,0\)_24 with 0 regressors and a "
+                                r"constant: ([0-9]+) innovation and ([0-9]+) Jacobian evaluations, converged, "
+                                r"in [0-9]+\.[0-9] ms", fits[0])
+            assert line
+            diagnostics = json.loads(model.read_text(encoding="utf-8"))["model"]["diagnostics"]
+            assert [int(n) for n in line.groups()] == [diagnostics["evaluations"], diagnostics["iterations"]]
+        else:
+            assert fits == []
 
 
 class TestAcf:

@@ -13,7 +13,9 @@ reference-filtered columns, against the reference likelihood at its own
 differences of the reference innovations. The Levenberg-Marquardt fit is
 checked against Nelder-Mead on the reference objective and against the
 search before concentration, which ran the simplex over ``mu`` and
-``gamma`` too.
+``gamma`` too. Its search is checked against ``least_squares``' ``lmder``
+run over both kernel stages at every call, and its filter count against
+one pass per evaluation.
 """
 
 import math
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter, lfiltic
 
-from lmpcast import arima, estimation
+from lmpcast import arima, estimation, lagpoly
 from lmpcast.arima import (
     ExogenousMatrix,
     ModelSpec,
@@ -40,6 +42,8 @@ from lmpcast.arima import (
 from lmpcast.estimation import (
     FitOptions,
     _PACF_LIMIT,
+    _fit_shape,
+    _multistart,
     _run_simplex,
     _starting_vector,
     _unpack,
@@ -322,7 +326,8 @@ def test_filter_jacobian_equals_central_differences(case):
     spec, params = JACOBIAN_CASES[case]
     y = _series()
     w, U = _working_series(spec, y, _exog(y) if spec.exog_count else None)
-    eps, beta, J = arima._concentrated(spec, params, w, U, jacobian=True)
+    eps, beta, Z_filtered = arima._concentrated(spec, params, w, U)
+    J = arima._concentrated_jacobian(spec, params, w, eps, Z_filtered)
     fixed = with_beta(spec, params, beta)
     np.testing.assert_allclose(eps, reference_innovations(spec, fixed, w, U), rtol=1e-10, atol=1e-12)
     h = 1e-6
@@ -426,6 +431,88 @@ def test_every_grid_cell_reaches_the_reference_search():
                 below.append(((p, q), loglik - reference))
     assert below == [], f"below the reference; exempt at the reference's cap: {capped}"
     assert len(capped) < 25
+
+
+def reference_fit_shape(spec, w, U, x0, options):
+    """The search as it ran before it kept its last point: ``least_squares``'
+    ``lmder`` (``method="lm"``), with both kernel stages run afresh at every
+    call, from the same starts and with the same tolerances and cap."""
+    from scipy.optimize import least_squares
+
+    def innovations(vec):
+        return arima._concentrated(spec, _unpack(spec, vec), w, U)[0]
+
+    def jacobian(vec):
+        shape = _unpack(spec, vec)
+        eps, _, Z = arima._concentrated(spec, shape, w, U)
+        return arima._concentrated_jacobian(spec, shape, w, eps, Z) @ _unpack_jacobian(spec, vec)
+
+    def search(start):
+        if not np.isfinite(innovations(start)).all():
+            return math.inf, None
+        res = least_squares(innovations, start, jac=jacobian, method="lm", ftol=1e-12, xtol=1e-10, gtol=1e-10,
+                            max_nfev=options.max_iterations // (x0.shape[0] + 1))
+        return res.cost, res
+
+    return _multistart(search, x0, options)
+
+
+# least_squares' status for each MINPACK termination code lmder returns here
+COMMON_STATUS = {1: 2, 2: 3, 3: 4, 4: 1, 5: 0}
+
+SEARCHES = {
+    # the fit-once workload's three specs
+    "arma_delta": (ModelSpec(p=1, q=2), False, FitOptions(restarts=1)),
+    # the second of three starts wins, so the winner is not the last point filtered
+    "armax_delta": (ModelSpec(p=1, q=2, exog_count=1), True, FitOptions(restarts=3, seed=1)),
+    "sarima_rtlmp": (ModelSpec(p=2, q=1, P=1, Q=1, diff=SEASONAL), False, FitOptions(restarts=1)),
+    # two cells of the order grid
+    "grid_3_4": (ModelSpec(p=3, q=4), False, FitOptions(restarts=2, seed=1)),
+    "grid_5_5": (ModelSpec(p=5, q=5), False, FitOptions(restarts=1)),
+    # 100 // (10 + 1) = 9 innovation evaluations: stopped at the cap
+    "capped": (ModelSpec(p=5, q=5), False, FitOptions(max_iterations=100, restarts=1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_search_takes_the_iterates_of_least_squares_over_both_stages(name):
+    # bit for bit: the kept point only spares filter passes
+    spec, with_exog, options = SEARCHES[name]
+    y = _series(1000, seed=6)
+    w, U = _working_series(spec, y, _exog(y) if with_exog else None)
+    x0 = _starting_vector(spec, w, None)
+    got = _fit_shape(spec, w, U, x0, options)
+    want = reference_fit_shape(spec, w, U, x0, options)
+    np.testing.assert_array_equal(got.x, want.x)
+    assert (got.nfev, got.njev, COMMON_STATUS[got.info], got.cost) == (want.nfev, want.njev, want.status, want.cost)
+    assert got.converged == (want.status > 0) == (name != "capped")
+    eps, beta, _ = arima._concentrated(spec, _unpack(spec, want.x), w, U)
+    np.testing.assert_array_equal(got.eps, eps)
+    np.testing.assert_array_equal(got.beta, beta)
+
+
+def test_a_fit_filters_each_evaluated_point_once(monkeypatch):
+    # from a start whose MA side is non-zero, so every pass filters: an
+    # innovation pass filters the AR side and r = 2 regressor rows (the
+    # constant and the regressor), a Jacobian pass the p + P = 1 AR row and
+    # the innovations once for the one MA factor, and the closing
+    # residuals one row
+    spec = ModelSpec(p=1, q=2, exog_count=1)
+    y = _series(1000, seed=6)
+    calls = []
+    real = lagpoly.lfilter
+
+    def counting(b, a, x, zi=None):
+        calls.append(a)
+        return real(b, a, x, zi)
+
+    for module in (arima, lagpoly):
+        monkeypatch.setattr(module, "lfilter", counting)
+    start = ParameterVector(phi=(0.5,), theta=(0.2, 0.1))
+    fitted = fit(spec, y, _exog(y), FitOptions(restarts=1), start=start)
+    d = fitted.diagnostics
+    assert d.converged
+    assert len(calls) == (1 + 2) * d.evaluations + (1 + 1) * d.iterations + 1
 
 
 def reference_variance_recursion(alpha0, alpha, beta, eps2, v0):

@@ -2,8 +2,9 @@
 code, the recursions compute on dense lag arrays, JSON values are typed
 only by the field tables' leaf readers, CSV cells are formatted only by
 ``dataio``'s table writer, a regressor matrix's column count is read only
-by ``arima``'s regressor rule, the package never imports ``scipy.signal``
-or ``scipy.linalg`` and start-up imports no ``scipy.optimize``, with one
+by ``arima``'s regressor rule, the package never imports ``scipy.signal``,
+``scipy.linalg`` or ``least_squares`` and start-up imports no
+``scipy.optimize``, with one
 ``lfilter`` in the package, hours are rendered only by ``series.format_hour``,
 and only the GARCH fit runs the Nelder-Mead search."""
 
@@ -119,8 +120,10 @@ def column_count_reads(modules):
 # the one filter entry point: a top-level function of this module
 FILTER = ("lagpoly.py", "lfilter")
 # never imported: the filter loads SciPy's C routine without ``scipy.signal``,
-# and the Durbin-Levinson recursion in ``series`` replaces ``scipy.linalg``
-NEVER_IMPORTED = ("scipy.signal", "scipy.linalg")
+# the Durbin-Levinson recursion in ``series`` replaces ``scipy.linalg``, and
+# ``leastsq`` runs the same ``lmder`` as ``least_squares``, without the
+# extra Jacobian per fit that fills fields the fit never reads
+NEVER_IMPORTED = ("scipy.signal", "scipy.linalg", "scipy.optimize.least_squares")
 # imported only inside function bodies, so that start-up skips it
 FIT_TIME = ("scipy.optimize",)
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -294,6 +297,15 @@ def test_check_sees_scipy_imports_and_a_second_lfilter():
         "arima.py:1 scipy.signal", "arima.py:3 lfilter",
         "estimation.py:1 start-up import", "estimation.py:5 scipy.linalg", "estimation.py:9 scipy.signal",
         "lagpoly.py:7 lfilter", "lagpoly.py:8 scipy.linalg",
+    ]
+
+
+def test_check_sees_least_squares():
+    estimation = ast.parse(
+        "def _fit_shape(spec):\n    from scipy.optimize import least_squares, leastsq\n    return leastsq\n"
+    )
+    assert scipy_imports_and_filters([("estimation.py", estimation)]) == [
+        "estimation.py:2 scipy.optimize.least_squares"
     ]
 
 
