@@ -10,7 +10,8 @@ with all four factors written in the all-minus convention
 ``sigma2``, and the regression term entering additively on the differenced
 scale. Seasonal and non-seasonal factors are expanded into a single pair of
 polynomials before any recursion, so one code path serves plain ARMA and
-the fully seasonal case.
+the fully seasonal case; only the search kernel below inverts the MA side
+one factor at a time.
 
 The likelihood is the conditional Gaussian one: presample working-series
 values are backcast with the working-series sample mean, presample
@@ -20,8 +21,11 @@ AR/MA shape the likelihood is maximized over them (and ``sigma2``) in
 closed form (:func:`profiled_log_likelihood`). The kernel runs in two
 stages: the innovation stage (:func:`_concentrated`) and, from its output,
 the innovations' Jacobian for the least-squares search
-(:func:`_concentrated_jacobian`). Every recursion is a linear
-filter on dense lag arrays built from the factor tuples; the sparse
+(:func:`_concentrated_jacobian`). Both stages run the MA inverse as
+``theta(B)`` and then ``THETA(B^S)`` as ``S`` interleaved order-``Q``
+filters (:func:`_ma_inverse`), equal to the product filter to rounding.
+Every recursion is a linear filter on dense lag arrays built from the
+factor tuples; the sparse
 :func:`ar_polynomial`/:func:`ma_polynomial` are the public reference. The
 AR side runs as ``np.convolve``, the MA inverse through ``lagpoly.lfilter``,
 the package's one filter entry point (SciPy's C routine). Forecasts are one
@@ -392,6 +396,28 @@ def _regress(Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(Z.T, Y.T, rcond=None)[0].T
 
 
+def _ma_inverse(theta: np.ndarray, Theta: np.ndarray, S: int, x: np.ndarray) -> np.ndarray:
+    """``x`` through ``1 / (theta(B) THETA(B^S))``, one factor at a time; ``x`` itself where both are 1.
+
+    ``theta`` and ``Theta`` are the factors' dense arrays at unit spacing
+    (``_lag_array(coeffs, (), 1)``). The seasonal factor runs as ``S``
+    interleaved filters of its own order ``Q``, one per phase ``t mod S``:
+    ``x``, padded with zeros to whole seasons, is a ``(seasons, S)`` array
+    filtered down its columns. That equals the dense ``(q + QS)``-tap product
+    filter to rounding, at a fraction of its taps. Zero state, as the
+    product filter starts.
+    """
+    if theta.shape[0] > 1:
+        x = lfilter([1.0], theta, x)
+    if Theta.shape[0] > 1:
+        m = x.shape[0]
+        seasons = -(-m // S)
+        grid = np.zeros(seasons * S)
+        grid[:m] = x
+        x = lfilter([1.0], Theta, grid.reshape(seasons, S), axis=0).reshape(-1)[:m]
+    return x
+
+
 def _concentrated(
     spec: ModelSpec,
     params: ParameterVector,
@@ -405,7 +431,8 @@ def _concentrated(
     coefficients ``beta = (mu, *gamma)`` (``mu`` only with a constant):
     ``e = F(a) - F([1, U]) beta``, where ``a`` is the AR side of the working
     series ``w~`` (lagged values backcast with its mean) and ``F`` the
-    zero-state MA inverse filter (Box, Jenkins & Reinsel, ch. 7). ``a``, a
+    zero-state MA inverse filter (Box, Jenkins & Reinsel, ch. 7), run one
+    factor at a time (:func:`_ma_inverse`). ``a``, a
     row of ones for the constant and any regressor columns are rows of one
     array that the filter runs over, and ``beta`` is their least-squares
     solution. This is the innovation stage of the kernel: one pass filters
@@ -413,7 +440,7 @@ def _concentrated(
     ``(e, beta, Z)``, ``Z`` the ``r`` filtered regressor rows that
     :func:`_concentrated_jacobian` projects out.
     """
-    ma = _lag_array(params.theta, params.Theta, spec.diff.S)
+    theta, Theta = _lag_array(params.theta, (), 1), _lag_array(params.Theta, (), 1)
     r = int(spec.constant) + spec.exog_count
     # rows: the AR side, then the regressors
     Y = np.empty((1 + r, w.shape[0]))
@@ -422,10 +449,9 @@ def _concentrated(
         Y[1] = 1.0
     if U is not None:
         Y[1 + int(spec.constant) :] = U.T
-    if ma.shape[0] > 1:
-        # a row at a time, in place: a stacked call's output would be a second copy of the rows
-        for row in Y:
-            row[:] = lfilter([1.0], ma, row)
+    # a row at a time, in place: a stacked call's output would be a second copy of the rows
+    for row in Y:
+        row[:] = _ma_inverse(theta, Theta, spec.diff.S, row)
     y, Z = Y[0], Y[1:]
     beta = _regress(Z, y[None])[0] if r else np.empty(0)
     eps = y - beta @ Z if r else y
@@ -451,7 +477,7 @@ def _concentrated_jacobian(
     One pass filters the ``p + P`` AR rows and ``e`` once per MA factor.
     """
     S = spec.diff.S
-    ma = _lag_array(params.theta, params.Theta, S)
+    theta, Theta = _lag_array(params.theta, (), 1), _lag_array(params.Theta, (), 1)
     m = w.shape[0]
     J = np.empty((spec.p + spec.P + spec.q + spec.Q, m))
     # the full backcast, so the derivative at a zero last coefficient sees its lag
@@ -462,13 +488,12 @@ def _concentrated_jacobian(
         if order:
             lagged = np.convolve(factor, w_ext)
             for i, row in enumerate(J[first : first + order], start=1):
-                row[:] = -lagged[K - i * step : K - i * step + m]
-                if ma.shape[0] > 1:
-                    row[:] = lfilter([1.0], ma, row)
-    for factor, order, step, first in ((_lag_array(params.theta, (), S), spec.q, 1, spec.p + spec.P),
-                                       (_lag_array((), params.Theta, S), spec.Q, S, spec.p + spec.P + spec.q)):
+                row[:] = _ma_inverse(theta, Theta, S, -lagged[K - i * step : K - i * step + m])
+    one = np.ones(1)
+    for factors, order, step, first in (((theta, one), spec.q, 1, spec.p + spec.P),
+                                        ((one, Theta), spec.Q, S, spec.p + spec.P + spec.q)):
         if order:
-            g = lfilter([1.0], factor, eps) if factor.shape[0] > 1 else eps
+            g = _ma_inverse(*factors, S, eps)
             for i, row in enumerate(J[first : first + order], start=1):
                 row[: i * step] = 0.0
                 row[i * step :] = g[: m - i * step]

@@ -290,7 +290,8 @@ def pipeline_forecast(
                 f"future day-ahead window must start {format_hour(history.end)} "
                 f"and cover {horizon} hours"
             )
-        dalmp_future = dalmp_future.window(0, horizon)
+        if len(dalmp_future) > horizon:
+            dalmp_future = dalmp_future.window(0, horizon)
         if config.kind == "baseline":
             return dalmp_future, np.zeros(horizon)
         if modeled is None:

@@ -12,6 +12,7 @@ report) with a missing key, a wrongly typed value or a non-integral order,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -35,7 +36,9 @@ from .series import clip_and_log, delta_lmp, format_hour, parse_hour
 log = logging.getLogger("lmpcast")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lmpcast",
         description="Short-term real-time electricity price forecasting toolkit.",

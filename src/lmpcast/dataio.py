@@ -80,9 +80,16 @@ class MarketDataset:
         return self.dalmp.end
 
     def window(self, index: int, length: int) -> "MarketDataset":
-        return MarketDataset(
-            self.dalmp.window(index, length), self.rtlmp.window(index, length), self.node
-        )
+        """Sub-dataset of ``length`` hours beginning at ``index``.
+
+        Both windows cut one calendar, which is already aligned, so it is
+        not checked again (as :meth:`HourlySeries.window` skips its checks).
+        """
+        sub = object.__new__(MarketDataset)
+        object.__setattr__(sub, "dalmp", self.dalmp.window(index, length))
+        object.__setattr__(sub, "rtlmp", self.rtlmp.window(index, length))
+        object.__setattr__(sub, "node", self.node)
+        return sub
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,12 @@ innovations once per MA factor. Unless a start is given, the first start
 is the sample partial autocorrelations of the working series from the
 Durbin-Levinson recursion for the AR factors and white noise for the MA
 side.
-GARCH coefficients are fitted by a Nelder-Mead simplex, mapped through
-exp/softmax-style transforms that keep them non-negative with persistence
-below one. Both searches are multi-start with seeded jitter and therefore
-deterministic.
+GARCH coefficients are fitted by Fisher scoring on the analytic
+quasi-likelihood score (a BHHH-type search; Berndt, Hall, Hall & Hausman
+1974), Levenberg-damped, in exp/softmax-style coordinates that keep them
+non-negative with persistence below one; the expected information is
+carried into those coordinates by the map's Jacobian. Both searches are
+multi-start with seeded jitter and therefore deterministic.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .arima import (
     residuals,
 )
 from .errors import DegenerateSeries, EstimationFailed, LmpcastError, SeriesTooShort
-from .garch import (GarchParams, GarchSpec, _check_orders, _quasi_log_likelihood, _variance_recursion,
+from .garch import (GarchParams, GarchSpec, _check_orders, _qml_score, _quasi_log_likelihood, _variance_recursion,
                     forecast_variance_origins)
 from .lagpoly import is_stable
 from .series import HourlySeries, _autocovariances, _durbin_levinson, _levinson
@@ -85,14 +87,16 @@ class FitOptions:
     the moment-based starting point (or the start :func:`fit` is given),
     later ones jitter it with noise drawn from ``seed``; the best end wins.
     ``max_iterations`` is a budget counted in likelihood evaluations. The
-    GARCH simplex stops after that many iterations or evaluations. A
-    Levenberg-Marquardt step of the mean equation (``leastsq``) evaluates
-    the innovations and a Jacobian of ``k`` columns (``k`` AR/MA
-    coefficients), so that search stops after ``max_iterations // (k + 1)``
-    innovation evaluations, as it always has; the Jacobian reuses the
-    innovation pass at its point.
-    ``tolerance`` is the simplex's tolerance on the objective, so it bounds
-    the GARCH fit only; the Levenberg-Marquardt search stops on MINPACK's
+    GARCH scoring search stops unconverged after that many quasi-likelihood
+    evaluations (each score and information it takes comes from the
+    variance path of an evaluation it already made). A Levenberg-Marquardt
+    step of the mean equation (``leastsq``) evaluates the innovations and a
+    Jacobian of ``k`` columns (``k`` AR/MA coefficients), so that search
+    stops after ``max_iterations // (k + 1)`` innovation evaluations, as it
+    always has; the Jacobian reuses the innovation pass at its point.
+    ``tolerance`` bounds the GARCH fit only: its search has converged once
+    an accepted step raises the quasi-likelihood by at most ``tolerance``
+    times ``1 + |QML|``. The Levenberg-Marquardt search stops on MINPACK's
     tests at fixed tolerances (relative reduction of the sum of squares
     1e-12, relative step 1e-10, gradient cosine 1e-10).
     """
@@ -115,10 +119,11 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """How the winning start's search ended: whether MINPACK's convergence
-    tests passed (stopping at the cap is not convergence), its Jacobian
-    evaluations (``iterations``), its innovation evaluations
-    (``evaluations``), and parameters near a boundary."""
+    """How the winning start's search ended: whether its convergence tests
+    passed (stopping at the cap is not convergence), its Jacobian
+    evaluations or scoring steps (``iterations``), its innovation or
+    quasi-likelihood evaluations (``evaluations``), and parameters near a
+    boundary."""
 
     converged: bool
     iterations: int
@@ -263,27 +268,6 @@ def _multistart(search, x0: np.ndarray, options: FitOptions):
     if best is None:
         raise EstimationFailed("no optimizer start produced a finite objective")
     return best
-
-
-def _run_simplex(objective, x0: np.ndarray, options: FitOptions):
-    """Best of ``options.restarts`` Nelder-Mead runs on ``objective`` (:func:`_multistart`)."""
-    from scipy.optimize import minimize  # here, so a command that fits nothing never imports it
-
-    def search(start):
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxiter": options.max_iterations,
-                "maxfev": options.max_iterations,
-                "xatol": 1e-8,
-                "fatol": options.tolerance,
-            },
-        )
-        return res.fun, res
-
-    return _multistart(search, x0, options)
 
 
 class _ShapeFit(NamedTuple):
@@ -555,12 +539,115 @@ def _garch_unpack(vec: np.ndarray, p: int, q: int) -> tuple[float, np.ndarray, n
     return alpha0, coeffs[:p], coeffs[p:]
 
 
+def _garch_unpack_jacobian(vec: np.ndarray, p: int, q: int) -> np.ndarray:
+    """``d(alpha0, alpha, beta)/d vec`` of :func:`_garch_unpack`'s map, ``(1 + p + q)`` square.
+
+    ``alpha0 = exp(vec_0)``, and the coefficients ``c = exp(u) / (1 + sum exp(u))``
+    have ``dc_k/du_j = c_k (delta_kj - c_j)``.
+    """
+    alpha0, alpha, beta = _garch_unpack(vec, p, q)
+    c = np.concatenate([alpha, beta])
+    J = np.zeros((1 + p + q, 1 + p + q))
+    J[0, 0] = alpha0
+    J[1:, 1:] = np.diag(c) - np.outer(c, c)
+    return J
+
+
+# Levenberg damping of the scoring step, relative to the mean diagonal of the
+# information: where a scoring step starts, how it moves, and beyond which no
+# step is taken any more (the QML cannot rise at any step length it allows)
+_DAMPING_START = 1e-3
+_DAMPING_FACTOR = 3.0
+_DAMPING_LIMIT = 1e12
+
+
+class _ScoringRun(NamedTuple):
+    """Where one scoring search ended: its point, QML there, whether a stop
+    test passed (the cap is not convergence), its scoring iterations and QML
+    evaluations."""
+
+    x: np.ndarray
+    qml: float
+    converged: bool
+    iterations: int
+    evaluations: int
+
+
+def _garch_scoring(eps2: np.ndarray, v0: float, p: int, q: int, x: np.ndarray, options: FitOptions) -> _ScoringRun:
+    """Fisher scoring on the GARCH quasi-log-likelihood from ``x``, in :func:`_garch_unpack`'s coordinates.
+
+    Each iteration takes the analytic score and expected information
+    (:func:`lmpcast.garch._qml_score`), carries them to the search
+    coordinates through :func:`_garch_unpack_jacobian`, and solves the
+    Levenberg-damped scoring step. A step that does not raise the QML is
+    retried with three times the damping; an accepted one divides it by three.
+    The search has converged when an accepted step raises the QML by at
+    most ``options.tolerance`` times ``1 + |QML|``, or when no step short
+    of the damping limit raises it; it stops unconverged after
+    ``options.max_iterations`` QML evaluations.
+    """
+
+    def qml(vec: np.ndarray) -> tuple[float, np.ndarray]:
+        alpha0, alpha, beta = _garch_unpack(vec, p, q)
+        sig2 = _variance_recursion(alpha0, alpha, beta, eps2, v0)
+        value = _quasi_log_likelihood(eps2, sig2)
+        return (value if math.isfinite(value) else -math.inf), sig2
+
+    value, sig2 = qml(x)
+    iterations, evaluations = 0, 1
+    converged = False
+    damping = _DAMPING_START
+    while math.isfinite(value) and not converged and evaluations < options.max_iterations:
+        _, _, beta = _garch_unpack(x, p, q)
+        score, information = _qml_score(beta, eps2, sig2, v0, p)
+        J = _garch_unpack_jacobian(x, p, q)
+        g, H = J.T @ score, J.T @ information @ J
+        iterations += 1
+        scale = np.trace(H) / H.shape[0]
+        while evaluations < options.max_iterations:
+            if damping > _DAMPING_LIMIT:
+                converged = True
+                break
+            step = np.linalg.solve(H + damping * scale * np.eye(H.shape[0]), g)
+            trial, trial_sig2 = qml(x + step)
+            evaluations += 1
+            if trial > value:
+                converged = trial - value <= options.tolerance * (1.0 + abs(trial))
+                x, value, sig2 = x + step, trial, trial_sig2
+                damping /= _DAMPING_FACTOR
+                break
+            damping *= _DAMPING_FACTOR
+    return _ScoringRun(x, value, converged, iterations, evaluations)
+
+
+def _garch_start(v0: float, p: int, q: int) -> np.ndarray:
+    """Search coordinates of the first GARCH start: ARCH mass 0.1 and, with
+    GARCH terms, GARCH mass 0.8, each split evenly over its lags, and the
+    long-run variance ``v0``."""
+    arch_mass, garch_mass = 0.1, 0.8 if q else 0.0
+    start_coeffs = np.concatenate(
+        [np.full(p, arch_mass / p), np.full(q, garch_mass / q) if q else np.empty(0)]
+    )
+    slack = 1.0 - start_coeffs.sum()
+    return np.concatenate([[math.log(v0 * slack)], np.log(start_coeffs / slack)])
+
+
 def fit_garch(
     residuals: HourlySeries,
     gspec: GarchSpec,
     options: FitOptions = FitOptions(),
-) -> GarchParams:
-    """Fit GARCH coefficients to a residual series by quasi-likelihood."""
+) -> tuple[GarchParams, Diagnostics]:
+    """Fit GARCH coefficients to a residual series by quasi-likelihood.
+
+    Fisher scoring (:func:`_garch_scoring`) through :func:`_multistart`,
+    from :func:`_garch_start`. Returns the coefficients and how the winning
+    search ended: its scoring iterations, quasi-likelihood evaluations,
+    whether it converged, and the flags ``garch_alpha_at_zero`` and
+    ``garch_beta_at_zero`` for a coefficient below 1e-6 and
+    ``garch_not_converged`` for a search stopped at its cap. Each fit logs
+    one DEBUG line with its orders, counts and wall time.
+    """
+    began = time.perf_counter()
     values = residuals.values
     if values.shape[0] < 100:
         raise SeriesTooShort(f"need at least 100 residuals, got {values.shape[0]}")
@@ -570,21 +657,25 @@ def fit_garch(
     eps2 = values**2
     p, q = gspec.p, gspec.q
 
-    def objective(vec: np.ndarray) -> float:
-        alpha0, alpha, beta = _garch_unpack(vec, p, q)
-        val = -_quasi_log_likelihood(eps2, _variance_recursion(alpha0, alpha, beta, eps2, v0))
-        return val if math.isfinite(val) else 1e300
+    def search(start):
+        run = _garch_scoring(eps2, v0, p, q, start, options)
+        return -run.qml, run
 
-    arch_mass, garch_mass = 0.1, 0.8 if q else 0.0
-    start_coeffs = np.concatenate(
-        [np.full(p, arch_mass / p), np.full(q, garch_mass / q) if q else np.empty(0)]
-    )
-    slack = 1.0 - start_coeffs.sum()
-    x0 = np.concatenate([[math.log(v0 * slack)], np.log(start_coeffs / slack)])
-
-    best = _run_simplex(objective, x0, options)
+    best = _multistart(search, _garch_start(v0, p, q), options)
     alpha0, alpha, beta = _garch_unpack(best.x, p, q)
-    return GarchParams(alpha0=alpha0, alpha=tuple(alpha), beta=tuple(beta))
+    params = GarchParams(alpha0=alpha0, alpha=tuple(alpha), beta=tuple(beta))
+    flags = []
+    if any(a < 1e-6 for a in params.alpha):
+        flags.append("garch_alpha_at_zero")
+    if any(b < 1e-6 for b in params.beta):
+        flags.append("garch_beta_at_zero")
+    if not best.converged:
+        flags.append("garch_not_converged")
+    log.debug("fit GARCH(%d,%d): %d scoring iterations and %d QML evaluations, %s, in %.1f ms", p, q,
+              best.iterations, best.evaluations, "converged" if best.converged else "not converged",
+              (time.perf_counter() - began) * 1e3)
+    return params, Diagnostics(converged=best.converged, iterations=best.iterations, boundary_flags=tuple(flags),
+                               evaluations=best.evaluations)
 
 
 def model_forecast(

@@ -115,6 +115,38 @@ def _variance_recursion(
     return integrate_array(alpha0 + arch, np.full(beta.shape[0], v0), np.concatenate([[1.0], -beta]))
 
 
+def _qml_score(
+    beta: np.ndarray,
+    eps2: np.ndarray,
+    sig2: np.ndarray,
+    v0: float,
+    p: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score and expected information of the quasi-log-likelihood in ``(alpha0, alpha, beta)``.
+
+    ``sig2`` is :func:`_variance_recursion`'s path at those coefficients.
+    ``d sigma2_t / d(alpha0, alpha_i, beta_j)`` is the row
+    ``(1, eps2_{t-i}, sigma2_{t-j})`` filtered through ``1 / (1 - beta(B))``;
+    the presample values are fixed at ``v0``, so the filter starts from a
+    zero state, and one call filters every row. With ``d_t`` those
+    derivatives, the score is ``1/2 sum (eps2_t / sigma2_t - 1) d_t / sigma2_t``
+    and the expected information ``1/2 sum d_t d_t' / sigma2_t^2``.
+    """
+    q = beta.shape[0]
+    m = eps2.shape[0]
+    D = np.empty((1 + p + q, m))
+    D[0] = 1.0
+    for first, order, past in ((1, p, eps2), (1 + p, q, sig2)):
+        for lag, row in enumerate(D[first : first + order], start=1):
+            row[:lag] = v0
+            row[lag:] = past[: m - lag]
+    if q:
+        D = lfilter([1.0], np.concatenate([[1.0], -beta]), D)
+    D /= sig2
+    score = 0.5 * (D @ (eps2 / sig2 - 1.0))
+    return score, 0.5 * (D @ D.T)
+
+
 def conditional_variances(params: GarchParams, residuals: HourlySeries) -> HourlySeries:
     """Conditional variance path of the residual series under the model.
 
@@ -249,17 +281,13 @@ def attach_garch(
     """Fit a GARCH model to the residuals of a fitted mean equation.
 
     Returns a copy of the fit carrying the variance model; the mean
-    equation, and with it every point forecast, is untouched. Coefficient
-    estimates that land on the zero boundary are reported through the
-    diagnostics flags.
+    equation, and with it every point forecast, is untouched. The GARCH
+    fit's flags (coefficients on the zero boundary, a search stopped at its
+    cap) are appended to the diagnostics flags.
     """
-    from .estimation import FitOptions, fit_garch
+    from . import estimation
 
-    gparams = fit_garch(arma_fit.residuals, gspec, options or FitOptions())
-    flags = list(arma_fit.diagnostics.boundary_flags)
-    if any(a < 1e-6 for a in gparams.alpha):
-        flags.append("garch_alpha_at_zero")
-    if any(b < 1e-6 for b in gparams.beta):
-        flags.append("garch_beta_at_zero")
-    diagnostics = replace(arma_fit.diagnostics, boundary_flags=tuple(flags))
+    gparams, gdiagnostics = estimation.fit_garch(arma_fit.residuals, gspec, options or estimation.FitOptions())
+    flags = arma_fit.diagnostics.boundary_flags + gdiagnostics.boundary_flags
+    diagnostics = replace(arma_fit.diagnostics, boundary_flags=flags)
     return replace(arma_fit, garch=(gspec, gparams), diagnostics=diagnostics)

@@ -70,21 +70,24 @@ def _load_linear_filter(directory: str):
 _linear_filter = _load_linear_filter(os.path.join(os.path.dirname(scipy.__file__), "signal"))
 
 
-def lfilter(b, a, x, zi=None):
-    """``scipy.signal.lfilter(b, a, x, axis=-1, zi=zi)`` on float64 input; with ``zi``, ``(y, zf)``.
+def lfilter(b, a, x, zi=None, axis=-1):
+    """``scipy.signal.lfilter(b, a, x, axis=axis, zi=zi)`` on float64 input; with ``zi``, ``(y, zf)``.
 
     A one-term denominator without ``zi`` runs one ``np.convolve(b / a[0],
-    row)`` per row of ``x``, as SciPy's wrapper does, and every other call
-    SciPy's C routine, so each form the package uses equals SciPy bit for bit.
+    row)`` per lane of ``x`` along ``axis``, as SciPy's wrapper does, and
+    every other call SciPy's C routine, so each form the package uses equals
+    SciPy bit for bit.
     """
     b = np.atleast_1d(b)
     a = np.atleast_1d(a)
     x = np.asarray(x)
     if a.shape[0] == 1 and zi is None:
         b = b / a[0]
+        x = np.moveaxis(x, axis, -1)
         n = x.shape[-1]
-        return np.array([np.convolve(b, row) for row in x.reshape(-1, n)]).reshape(*x.shape[:-1], -1)[..., :n]
-    return _linear_filter(b, a, x, -1) if zi is None else _linear_filter(b, a, x, -1, np.asarray(zi))
+        y = np.array([np.convolve(b, row) for row in x.reshape(-1, n)]).reshape(*x.shape[:-1], -1)[..., :n]
+        return np.moveaxis(y, -1, axis)
+    return _linear_filter(b, a, x, axis) if zi is None else _linear_filter(b, a, x, axis, np.asarray(zi))
 
 
 @dataclass(frozen=True)

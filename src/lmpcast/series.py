@@ -54,6 +54,8 @@ HOUR = timedelta(hours=1)
 
 
 def _check_whole_hour(ts: datetime) -> datetime:
+    if ts.tzinfo is timezone.utc and not (ts.minute or ts.second or ts.microsecond):
+        return ts  # what astimezone returns for it
     if ts.tzinfo is None or ts.utcoffset() != timedelta(0):
         raise ValueError(f"timestamp must be timezone-aware UTC: {ts!r}")
     if ts.minute or ts.second or ts.microsecond:
@@ -80,7 +82,7 @@ class HourlySeries:
         arr = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
         if arr.size == 0:
             raise ValueError("HourlySeries requires at least one value")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("HourlySeries values must be finite (no NaN/inf)")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

@@ -398,6 +398,23 @@ class TestSynth:
         else:
             assert fits == []
 
+    @pytest.mark.parametrize("verbose", [True, False])
+    def test_verbose_logs_one_garch_fit_line_on_stderr(self, ws, tmp_path, verbose):
+        config = write_config(ws.root, "garch_verbose.json", garch={"p": 1, "q": 1})
+        model = tmp_path / "model.json"
+        argv = ["--verbose"] * verbose + ["fit", "--config", config, "--data", ws.data, "--out", str(model)]
+        fits = self._stderr_lines(argv, "DEBUG lmpcast.estimation: fit GARCH")
+        # the artifact carries no wall time: the same bytes with and without the flag
+        plain = tmp_path / "plain.json"
+        assert main(["fit", "--config", config, "--data", ws.data, "--out", str(plain)]) == 0
+        assert model.read_bytes() == plain.read_bytes()
+        if verbose:
+            assert len(fits) == 1
+            assert re.fullmatch(r"DEBUG lmpcast.estimation: fit GARCH\(1,1\): [1-9][0-9]* scoring iterations and "
+                                r"[1-9][0-9]* QML evaluations, converged, in [0-9]+\.[0-9] ms", fits[0])
+        else:
+            assert fits == []
+
 
 class TestAcf:
     def test_export_layout(self, ws, tmp_path):

@@ -337,7 +337,7 @@ class TestFitGarch:
     def test_homoskedastic_scale(self):
         rng = np.random.default_rng(82)
         eps = series(rng.normal(0.0, 2.0, size=8000))
-        params = fit_garch(eps, GarchSpec(p=1, q=0), FAST)
+        params, _ = fit_garch(eps, GarchSpec(p=1, q=0), FAST)
         assert params.alpha0 + params.alpha[0] * 4.0 == pytest.approx(4.0, rel=0.05)
 
     def test_short_input_rejected(self):

@@ -273,6 +273,13 @@ class TestFilter:
         x = np.random.default_rng(18).normal(size=shape)
         np.testing.assert_array_equal(lfilter(np.array(b), np.array(a), x), scipy.signal.lfilter(b, a, x))
 
+    @pytest.mark.parametrize("a", [[1.0, -0.4], [1.0, 0.3, -0.2], [2.0]], ids=["order-1", "order-2", "one-term"])
+    def test_down_the_first_axis_equals_scipy(self, a):
+        # the MA search kernel's seasonal factor, one filter per column (phase)
+        x = np.random.default_rng(20).normal(size=(40, 24))
+        np.testing.assert_array_equal(lfilter([1.0], np.array(a), x, axis=0),
+                                      scipy.signal.lfilter([1.0], a, x, axis=0))
+
     def test_broadcast_variances_equal_scipy(self):
         # the per-origin plan arrives as a read-only broadcast view
         psi = np.array([1.0, 0.7, 0.35, 0.1])

@@ -6,7 +6,7 @@ by ``arima``'s regressor rule, the package never imports ``scipy.signal``,
 ``scipy.linalg`` or ``least_squares`` and start-up imports no
 ``scipy.optimize``, with one
 ``lfilter`` in the package, hours are rendered only by ``series.format_hour``,
-and only the GARCH fit runs the Nelder-Mead search."""
+and no search runs a Nelder-Mead simplex."""
 
 import ast
 from pathlib import Path
@@ -171,24 +171,26 @@ def isoformat_uses(modules):
             if isinstance(sub, ast.Attribute) and sub.attr == "isoformat"]
 
 
-# the Nelder-Mead search and the one function that may use it: the mean
-# equation is fitted by Levenberg-Marquardt from the filter Jacobian
-SIMPLEX = "_run_simplex"
-SIMPLEX_USERS = [("estimation.py", "fit_garch")]
+# every search follows derivatives: the mean equation Levenberg-Marquardt
+# from the filter Jacobian, the GARCH layer Fisher scoring on its analytic
+# score; these names are the simplex SciPy offers and the package's old one
+SIMPLEX_NAMES = {"_run_simplex", "minimize", "fmin"}
+SIMPLEX_METHOD = "nelder-mead"
 
 
-def simplex_users(modules):
-    """``(module, definition)`` of each top-level definition other than the
-    search's own that names ``_run_simplex``, once per reference."""
-    found = []
+def simplex_uses(modules):
+    """``module:line what`` of each name, attribute, import or definition in
+    ``SIMPLEX_NAMES`` and each string that is a Nelder-Mead method name."""
+    found = set()
     for module, tree in modules:
-        for node in tree.body:
-            own = getattr(node, "name", None)
-            if own == SIMPLEX:
-                continue
-            found += [(module, own) for sub in ast.walk(node)
-                      if SIMPLEX in (getattr(sub, "id", None), getattr(sub, "attr", None), getattr(sub, "name", None))]
-    return found
+        for sub in ast.walk(tree):
+            name = getattr(sub, "id", None) or getattr(sub, "attr", None) or getattr(sub, "name", None)
+            if name in SIMPLEX_NAMES:
+                found.add((module, sub.lineno, name))
+            value = getattr(sub, "value", None)
+            if isinstance(sub, ast.Constant) and isinstance(value, str) and value.lower() == SIMPLEX_METHOD:
+                found.add((module, sub.lineno, value))
+    return [f"{module}:{line} {what}" for module, line, what in sorted(found)]
 
 
 def parse_src():
@@ -322,19 +324,19 @@ def test_check_sees_isoformat():
     assert isoformat_uses([("series.py", series), ("arima.py", arima)]) == ["series.py:5", "arima.py:3"]
 
 
-def test_only_the_garch_fit_runs_the_simplex():
-    assert simplex_users(parse_src()) == SIMPLEX_USERS
+def test_src_runs_no_simplex():
+    assert simplex_uses(parse_src()) == []
 
 
-def test_check_sees_the_simplex_outside_the_garch_fit():
+def test_check_sees_a_simplex():
     estimation = ast.parse(
-        "def _run_simplex(objective, x0, options):\n    return _run_simplex(objective, x0, options)\n\n"
-        "def fit_garch(r):\n    return _run_simplex(r, 0, 1)\n\n"
-        "def fit(spec):\n    search = _run_simplex\n    return search(spec, 0, 1)\n\n"
-        "SEARCH = _run_simplex\n"
+        "def _run_simplex(objective, x0, options):\n    from scipy.optimize import minimize\n"
+        "    return minimize(objective, x0, method='Nelder-Mead')\n\n"
+        "def fit_garch(r):\n    \"\"\"Fitted by Nelder-Mead before.\"\"\"\n    return _run_simplex(r, 0, 1)\n"
     )
-    backtest = ast.parse("from .estimation import _run_simplex\n\ndef refit(e):\n    return e._run_simplex(0, 0, 0)\n")
-    assert simplex_users([("estimation.py", estimation), ("backtest.py", backtest)]) == [
-        ("estimation.py", "fit_garch"), ("estimation.py", "fit"), ("estimation.py", None),
-        ("backtest.py", None), ("backtest.py", "refit"),
+    backtest = ast.parse("from scipy import optimize\n\nSEARCH = optimize.fmin\n")
+    assert simplex_uses([("estimation.py", estimation), ("backtest.py", backtest)]) == [
+        "backtest.py:3 fmin",
+        "estimation.py:1 _run_simplex", "estimation.py:2 minimize", "estimation.py:3 Nelder-Mead",
+        "estimation.py:3 minimize", "estimation.py:7 _run_simplex",
     ]
