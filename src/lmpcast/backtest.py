@@ -354,8 +354,8 @@ class BacktestReport:
     """Per-horizon improvement indices and errors over one test window.
 
     ``fits`` counts the model fits the backtest made, ``unconverged`` those
-    whose search stopped without converging, and ``evaluations`` their
-    objective evaluations in total.
+    whose mean-equation or GARCH search stopped without converging, and
+    ``evaluations`` their mean-equation objective evaluations in total.
     """
 
     horizon: int
@@ -493,7 +493,7 @@ def rolling_backtest(
         test_start=test.start,
         test_length=n_test,
         fits=len(fits),
-        unconverged=sum(not d.converged for d in fits),
+        unconverged=sum(not d.converged or "garch_not_converged" in d.boundary_flags for d in fits),
         evaluations=sum(d.evaluations for d in fits),
     )
 

@@ -20,10 +20,9 @@ Durbin-Levinson recursion for the AR factors and white noise for the MA
 side.
 GARCH coefficients are fitted by Fisher scoring on the analytic
 quasi-likelihood score (a BHHH-type search; Berndt, Hall, Hall & Hausman
-1974), Levenberg-damped, in exp/softmax-style coordinates that keep them
-non-negative with persistence below one; the expected information is
-carried into those coordinates by the map's Jacobian. Both searches are
-multi-start with seeded jitter and therefore deterministic.
+1974), Levenberg-damped, in the coefficients themselves: each is kept
+non-negative where its constraint binds, so it can reach zero. Both
+searches are multi-start with seeded jitter and therefore deterministic.
 """
 
 from __future__ import annotations
@@ -85,15 +84,17 @@ class FitOptions:
 
     ``restarts`` is the number of starts of either search: the first uses
     the moment-based starting point (or the start :func:`fit` is given),
-    later ones jitter it with noise drawn from ``seed``; the best end wins.
-    ``max_iterations`` is a budget counted in likelihood evaluations. The
-    GARCH scoring search stops unconverged after that many quasi-likelihood
-    evaluations (each score and information it takes comes from the
-    variance path of an evaluation it already made). A Levenberg-Marquardt
-    step of the mean equation (``leastsq``) evaluates the innovations and a
-    Jacobian of ``k`` columns (``k`` AR/MA coefficients), so that search
-    stops after ``max_iterations // (k + 1)`` innovation evaluations, as it
-    always has; the Jacobian reuses the innovation pass at its point.
+    later ones jitter it with noise drawn from ``seed`` (for GARCH, the
+    logarithms of its coefficients, scaled back below persistence 0.99);
+    the best end wins. ``max_iterations`` is a budget counted in
+    likelihood evaluations. The GARCH scoring search stops unconverged
+    after that many quasi-likelihood evaluations (each score and
+    information it takes comes from the variance path of an evaluation it
+    already made). A Levenberg-Marquardt step of the mean equation
+    (``leastsq``) evaluates the innovations and a Jacobian of ``k`` columns
+    (``k`` AR/MA coefficients), so that search stops after
+    ``max_iterations // (k + 1)`` innovation evaluations, as it always has;
+    the Jacobian reuses the innovation pass at its point.
     ``tolerance`` bounds the GARCH fit only: its search has converged once
     an accepted step raises the quasi-likelihood by at most ``tolerance``
     times ``1 + |QML|``. The Levenberg-Marquardt search stops on MINPACK's
@@ -527,32 +528,6 @@ def grid_select(
 # ---------------------------------------------------------------------------
 # GARCH fitting
 
-def _garch_unpack(vec: np.ndarray, p: int, q: int) -> tuple[float, np.ndarray, np.ndarray]:
-    # clamp both ways: the upper bound stops overflow, the lower keeps
-    # alpha0 strictly positive when the optimizer walks down a flat ridge
-    alpha0 = math.exp(min(max(float(vec[0]), -700.0), 700.0))
-    u = vec[1:]
-    # softmax-style map keeps every coefficient non-negative with sum < 1
-    hi = max(0.0, float(np.max(u)))
-    ex = np.exp(u - hi)
-    coeffs = ex / (math.exp(-hi) + ex.sum())
-    return alpha0, coeffs[:p], coeffs[p:]
-
-
-def _garch_unpack_jacobian(vec: np.ndarray, p: int, q: int) -> np.ndarray:
-    """``d(alpha0, alpha, beta)/d vec`` of :func:`_garch_unpack`'s map, ``(1 + p + q)`` square.
-
-    ``alpha0 = exp(vec_0)``, and the coefficients ``c = exp(u) / (1 + sum exp(u))``
-    have ``dc_k/du_j = c_k (delta_kj - c_j)``.
-    """
-    alpha0, alpha, beta = _garch_unpack(vec, p, q)
-    c = np.concatenate([alpha, beta])
-    J = np.zeros((1 + p + q, 1 + p + q))
-    J[0, 0] = alpha0
-    J[1:, 1:] = np.diag(c) - np.outer(c, c)
-    return J
-
-
 # Levenberg damping of the scoring step, relative to the mean diagonal of the
 # information: where a scoring step starts, how it moves, and beyond which no
 # step is taken any more (the QML cannot rise at any step length it allows)
@@ -573,23 +548,27 @@ class _ScoringRun(NamedTuple):
     evaluations: int
 
 
-def _garch_scoring(eps2: np.ndarray, v0: float, p: int, q: int, x: np.ndarray, options: FitOptions) -> _ScoringRun:
-    """Fisher scoring on the GARCH quasi-log-likelihood from ``x``, in :func:`_garch_unpack`'s coordinates.
+def _garch_scoring(eps2: np.ndarray, p: int, q: int, x: np.ndarray, options: FitOptions) -> _ScoringRun:
+    """Fisher scoring on the GARCH quasi-log-likelihood from ``x = (alpha0, alpha, beta)``.
 
-    Each iteration takes the analytic score and expected information
-    (:func:`lmpcast.garch._qml_score`), carries them to the search
-    coordinates through :func:`_garch_unpack_jacobian`, and solves the
-    Levenberg-damped scoring step. A step that does not raise the QML is
-    retried with three times the damping; an accepted one divides it by three.
-    The search has converged when an accepted step raises the QML by at
-    most ``options.tolerance`` times ``1 + |QML|``, or when no step short
-    of the damping limit raises it; it stops unconverged after
+    ``eps2`` are squared residuals of unit sample variance, the presample
+    value. Each iteration solves the Levenberg-damped scoring step on the
+    analytic score and expected information in the coefficients themselves
+    (:func:`lmpcast.garch._qml_score`); a coefficient at zero whose score
+    does not point above it sits out of the step, and a step that takes
+    ``alpha`` or ``beta`` below zero is clipped to zero there. A trial that
+    does not raise the QML, or has ``alpha0 <= 0`` or persistence at least
+    one, is retried with three times the damping; an accepted one divides
+    it by three. The search has converged when an accepted step raises the
+    QML by at most ``options.tolerance`` times ``1 + |QML|``, or when no
+    step short of the damping limit raises it; it stops unconverged after
     ``options.max_iterations`` QML evaluations.
     """
 
-    def qml(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        alpha0, alpha, beta = _garch_unpack(vec, p, q)
-        sig2 = _variance_recursion(alpha0, alpha, beta, eps2, v0)
+    def qml(vec: np.ndarray) -> tuple[float, np.ndarray | None]:
+        if vec[0] <= 0.0 or vec[1:].sum() >= 1.0:
+            return -math.inf, None
+        sig2 = _variance_recursion(vec[0], vec[1 : 1 + p], vec[1 + p :], eps2, 1.0)
         value = _quasi_log_likelihood(eps2, sig2)
         return (value if math.isfinite(value) else -math.inf), sig2
 
@@ -598,38 +577,27 @@ def _garch_scoring(eps2: np.ndarray, v0: float, p: int, q: int, x: np.ndarray, o
     converged = False
     damping = _DAMPING_START
     while math.isfinite(value) and not converged and evaluations < options.max_iterations:
-        _, _, beta = _garch_unpack(x, p, q)
-        score, information = _qml_score(beta, eps2, sig2, v0, p)
-        J = _garch_unpack_jacobian(x, p, q)
-        g, H = J.T @ score, J.T @ information @ J
+        score, information = _qml_score(x[1 + p :], eps2, sig2, 1.0, p)
+        free = (x > 0.0) | (score > 0.0)
+        g, H = score[free], information[np.ix_(free, free)]
         iterations += 1
         scale = np.trace(H) / H.shape[0]
         while evaluations < options.max_iterations:
             if damping > _DAMPING_LIMIT:
                 converged = True
                 break
-            step = np.linalg.solve(H + damping * scale * np.eye(H.shape[0]), g)
-            trial, trial_sig2 = qml(x + step)
+            trial = x.copy()
+            trial[free] += np.linalg.solve(H + damping * scale * np.eye(H.shape[0]), g)
+            trial[1:] = np.maximum(trial[1:], 0.0)
+            trial_value, trial_sig2 = qml(trial)
             evaluations += 1
-            if trial > value:
-                converged = trial - value <= options.tolerance * (1.0 + abs(trial))
-                x, value, sig2 = x + step, trial, trial_sig2
+            if trial_value > value:
+                converged = trial_value - value <= options.tolerance * (1.0 + abs(trial_value))
+                x, value, sig2 = trial, trial_value, trial_sig2
                 damping /= _DAMPING_FACTOR
                 break
             damping *= _DAMPING_FACTOR
     return _ScoringRun(x, value, converged, iterations, evaluations)
-
-
-def _garch_start(v0: float, p: int, q: int) -> np.ndarray:
-    """Search coordinates of the first GARCH start: ARCH mass 0.1 and, with
-    GARCH terms, GARCH mass 0.8, each split evenly over its lags, and the
-    long-run variance ``v0``."""
-    arch_mass, garch_mass = 0.1, 0.8 if q else 0.0
-    start_coeffs = np.concatenate(
-        [np.full(p, arch_mass / p), np.full(q, garch_mass / q) if q else np.empty(0)]
-    )
-    slack = 1.0 - start_coeffs.sum()
-    return np.concatenate([[math.log(v0 * slack)], np.log(start_coeffs / slack)])
 
 
 def fit_garch(
@@ -639,8 +607,13 @@ def fit_garch(
 ) -> tuple[GarchParams, Diagnostics]:
     """Fit GARCH coefficients to a residual series by quasi-likelihood.
 
-    Fisher scoring (:func:`_garch_scoring`) through :func:`_multistart`,
-    from :func:`_garch_start`. Returns the coefficients and how the winning
+    Fisher scoring (:func:`_garch_scoring`) through :func:`_multistart`, on
+    the residuals divided by their sample variance ``v0``, so that
+    ``alpha0 / v0`` is fitted. The first start puts 0.1 on the ARCH lags
+    and, with GARCH terms, 0.8 on the GARCH lags, each split evenly, at
+    long-run variance ``v0``; later starts jitter the logarithms of its
+    coefficients and scale ``alpha`` and ``beta`` back to persistence 0.99
+    where they sum above it. Returns the coefficients and how the winning
     search ended: its scoring iterations, quasi-likelihood evaluations,
     whether it converged, and the flags ``garch_alpha_at_zero`` and
     ``garch_beta_at_zero`` for a coefficient below 1e-6 and
@@ -654,16 +627,18 @@ def fit_garch(
     v0 = float(np.var(values))
     if v0 <= 0.0:
         raise EstimationFailed("residuals have zero variance")
-    eps2 = values**2
+    eps2 = values**2 / v0
     p, q = gspec.p, gspec.q
 
-    def search(start):
-        run = _garch_scoring(eps2, v0, p, q, start, options)
+    def search(log_start):
+        start = np.exp(log_start)
+        start[1:] *= min(1.0, 0.99 / start[1:].sum())
+        run = _garch_scoring(eps2, p, q, start, options)
         return -run.qml, run
 
-    best = _multistart(search, _garch_start(v0, p, q), options)
-    alpha0, alpha, beta = _garch_unpack(best.x, p, q)
-    params = GarchParams(alpha0=alpha0, alpha=tuple(alpha), beta=tuple(beta))
+    coeffs = np.concatenate([np.full(p, 0.1 / p), np.full(q, 0.8 / q) if q else np.empty(0)])
+    best = _multistart(search, np.log(np.concatenate([[1.0 - coeffs.sum()], coeffs])), options)
+    params = GarchParams(alpha0=v0 * best.x[0], alpha=tuple(best.x[1 : 1 + p]), beta=tuple(best.x[1 + p :]))
     flags = []
     if any(a < 1e-6 for a in params.alpha):
         flags.append("garch_alpha_at_zero")

@@ -1,12 +1,13 @@
 """Tests for pipelines, the improvement index, and rolling-origin evaluation."""
 
 import json
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from lmpcast import backtest
+from lmpcast import backtest, estimation
 from lmpcast.arima import ModelSpec, ParameterVector
 from lmpcast.backtest import (
     BacktestReport,
@@ -475,6 +476,21 @@ class TestRollingBacktest:
         assert report.evaluations == fitted.diagnostics.evaluations > 0
         baseline = rolling_backtest(PipelineConfig(kind="baseline"), train, test, 2)
         assert (baseline.fits, baseline.unconverged, baseline.evaluations) == (0, 0, 0)
+
+    def test_report_counts_a_fit_whose_garch_search_stopped_at_its_cap_as_unconverged(self, monkeypatch):
+        data = bench_market(406, seed=27)
+        train, test = data.window(0, 400), data.window(400, 6)
+        config = PipelineConfig(kind="arma_delta", spec=ModelSpec(p=1, q=1), garch=GarchSpec(1, 1))
+        fit_garch = estimation.fit_garch
+
+        def capped(residuals, gspec, options):
+            params, diagnostics = fit_garch(residuals, gspec, options)
+            flags = diagnostics.boundary_flags + ("garch_not_converged",)
+            return params, replace(diagnostics, converged=False, boundary_flags=flags)
+
+        monkeypatch.setattr(estimation, "fit_garch", capped)
+        report = rolling_backtest(config, train, test, 2, options=FAST)
+        assert (report.fits, report.unconverged) == (1, 1)
 
 
 class TestBacktestReport:

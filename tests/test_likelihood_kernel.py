@@ -50,8 +50,6 @@ from lmpcast.estimation import (
     FitOptions,
     _PACF_LIMIT,
     _fit_shape,
-    _garch_start,
-    _garch_unpack,
     _multistart,
     _starting_vector,
     _unpack,
@@ -158,6 +156,28 @@ def reference_simplex(objective, x0, options):
         return res.fun, res
 
     return _multistart(search, x0, options)
+
+
+def reference_garch_unpack(vec, p, q):
+    """``(alpha0, alpha, beta)`` at a point of the coordinates the GARCH
+    fit searched before it fitted the coefficients themselves: ``log alpha0``
+    and a softmax of the ARCH and GARCH coefficients, so every point has
+    ``alpha0 > 0``, non-negative coefficients and persistence below one."""
+    alpha0 = math.exp(min(max(float(vec[0]), -700.0), 700.0))
+    u = vec[1:]
+    hi = max(0.0, float(np.max(u)))
+    ex = np.exp(u - hi)
+    coeffs = ex / (math.exp(-hi) + ex.sum())
+    return alpha0, coeffs[:p], coeffs[p:]
+
+
+def reference_garch_start(v0, p, q):
+    """:func:`reference_garch_unpack`'s coordinates of the GARCH fit's first
+    start: ARCH mass 0.1 and, with GARCH terms, GARCH mass 0.8, each split
+    evenly over its lags, at long-run variance ``v0``."""
+    coeffs = np.concatenate([np.full(p, 0.1 / p), np.full(q, 0.8 / q) if q else np.empty(0)])
+    slack = 1.0 - coeffs.sum()
+    return np.concatenate([[math.log(v0 * slack)], np.log(coeffs / slack)])
 
 
 def reference_search_loglik(spec, y, exog, options):
@@ -602,16 +622,17 @@ def criterion_4_residuals():
 
 
 @functools.cache
-def fit_once_residuals(seed):
+def fit_once_residuals(seed, pipeline="armax_delta"):
     """The ARMAX(1, 2) residuals that the fit-once backtest's GARCH layer is
     fitted to: criterion 8's two-year market at ``seed``, the benchmark's
-    ``armax_delta`` config."""
+    ``armax_delta`` config; with ``pipeline`` ``"arma_delta"``, the
+    benchmark's ARMA(1, 2) residuals of the same market."""
     from lmpcast import config as cfg
     from lmpcast.backtest import fit_pipeline
     from lmpcast.dataio import synth_market
 
     config = cfg.merge_config({
-        "pipeline": "armax_delta", "order": {"p": 1, "q": 2}, "clip": {"ub": 22.0, "lb": -4.0},
+        "pipeline": pipeline, "order": {"p": 1, "q": 2}, "clip": {"ub": 22.0, "lb": -4.0},
         "log_offset": 1000.0, "seed": seed, "fit": {"restarts": 1}, "synth": {"length": 17_520},
         "test_start": "2002-12-02T00:00Z",
     })
@@ -685,18 +706,18 @@ def test_garch_fit_ends_at_a_kuhn_tucker_point(name):
 
 @pytest.mark.parametrize("name", sorted(GARCH_CASES))
 def test_garch_fit_reaches_the_simplex_from_the_same_start_in_fewer_evaluations(name):
-    # the simplex the fit replaced, on the same objective and coordinates,
-    # within the stop tolerance; it stopped up to 270 below on the
-    # fit-once residuals
+    # the simplex the fit replaced, on the same objective from the same
+    # start, in the softmax coordinates it searched, within the stop
+    # tolerance; it stopped up to 270 below on the fit-once residuals
     options = FitOptions(restarts=1)
     eps, params, diagnostics, qml = garch_fit(name, options)
     _, p, q = GARCH_CASES[name]
     eps2, v0 = eps**2, float(np.var(eps))
 
     def objective(vec):
-        return -_quasi_log_likelihood(eps2, _variance_recursion(*_garch_unpack(vec, p, q), eps2, v0))
+        return -_quasi_log_likelihood(eps2, _variance_recursion(*reference_garch_unpack(vec, p, q), eps2, v0))
 
-    simplex = reference_simplex(objective, _garch_start(v0, p, q), options)
+    simplex = reference_simplex(objective, reference_garch_start(v0, p, q), options)
     assert simplex.success
     assert qml >= -simplex.fun - options.tolerance * (1.0 + abs(qml))
     assert diagnostics.iterations + diagnostics.evaluations < simplex.nfev
@@ -710,11 +731,28 @@ def test_garch_fit_reaches_the_recorded_optima_of_the_fit_once_residuals():
         assert garch_fit(f"fit_once_{seed}")[3] >= floor
 
 
+@pytest.mark.parametrize("residuals, coefficient, floor", [
+    (lambda: fit_once_residuals(1, "arma_delta"), "beta", 83_125.32),
+    (lambda: fit_once_residuals(4, "arma_delta"), "beta", 83_193.89),
+    (lambda: np.random.default_rng(59).normal(size=10_000), "alpha", -14_166.3506),
+], ids=["arma_delta_1", "arma_delta_4", "iid_59"])
+def test_a_garch_coefficient_the_score_drives_below_zero_ends_at_zero_and_flagged(residuals, coefficient, floor):
+    # the floors are where the search in softmax coordinates stopped, at
+    # beta 8.1e-6 and 4.8e-6 and alpha 8.35e-6: above the flag's 1e-6, so
+    # unflagged, with the score pointing below zero
+    series = HourlySeries(arima.DEFAULT_ORIGIN, residuals(), "dimensionless")
+    params, diagnostics = fit_garch(series, GarchSpec(1, 1), FitOptions(restarts=1))
+    assert diagnostics.converged
+    assert getattr(params, coefficient) == (0.0,)
+    assert f"garch_{coefficient}_at_zero" in diagnostics.boundary_flags
+    assert garch_log_likelihood(params, series) >= floor
+
+
 def test_a_garch_fit_stopped_at_its_cap_is_flagged():
-    # iid residuals walk alpha to zero along the softmax map, where each
-    # step gains less and less: with no improvement small enough to stop on,
-    # 100 evaluations end it unconverged
-    eps = HourlySeries(arima.DEFAULT_ORIGIN, np.random.default_rng(59).normal(size=10_000), "dimensionless")
+    # on these iid residuals every accepted step of the first 100
+    # evaluations raises the QML by more than a tolerance of 1e-300 stops
+    # on, so the cap ends the search
+    eps = HourlySeries(arima.DEFAULT_ORIGIN, np.random.default_rng(2).normal(size=10_000), "dimensionless")
     params, diagnostics = fit_garch(eps, GarchSpec(1, 1), FitOptions(max_iterations=100, tolerance=1e-300, restarts=1))
     assert (diagnostics.converged, diagnostics.evaluations) == (False, 100)
     assert diagnostics.boundary_flags[-1] == "garch_not_converged"
