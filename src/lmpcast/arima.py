@@ -627,6 +627,7 @@ def forecast_origins(
     exog: ExogenousMatrix | None,
     origins: np.ndarray | list[int],
     horizon: int,
+    innovations: np.ndarray | None = None,
 ) -> OriginForecasts:
     """Minimum-mean-square-error forecasts from many origins at once.
 
@@ -636,6 +637,11 @@ def forecast_origins(
     the known future; steps whose regressors it does not cover come out
     NaN. The series is differenced and filtered once for all origins, and
     one filter on the level scale runs every origin's forecast steps.
+
+    ``innovations``, given with a single origin, are that origin's
+    innovations (:func:`residuals` of its history, say a fit's own), one per
+    working-sample hour; the history is then not filtered at all, and the
+    result holds them as its ``base`` with a zero backcast term.
     """
     check_conforms(spec, params)
     if horizon < 1:
@@ -654,14 +660,22 @@ def forecast_origins(
 
     w, U = _working_series(spec, series, exog)
     m = w.shape[0]
-    base = _innovations(spec, params, w, None if U is None else U[:m], backcast=0.0)
     ma = _lag_array(params.theta, params.Theta, spec.diff.S)
-    response = lfilter([1.0], ma, _ar_side(spec, params, np.zeros(m), backcast=1.0))
-
     ends = origins - spec.diff.order
-    # centring keeps the running sum's rounding at the scale of the spread
-    centre = w.mean()
-    backcast = centre + np.cumsum(w - centre)[ends - 1] / ends
+    if innovations is None:
+        base = _innovations(spec, params, w, None if U is None else U[:m], backcast=0.0)
+        response = lfilter([1.0], ma, _ar_side(spec, params, np.zeros(m), backcast=1.0))
+        # centring keeps the running sum's rounding at the scale of the spread
+        centre = w.mean()
+        backcast = centre + np.cumsum(w - centre)[ends - 1] / ends
+    elif ends.shape[0] != 1:
+        raise ValueError(f"innovations serve a single origin, got {ends.shape[0]} origins")
+    elif innovations.shape != (ends[0],):
+        raise ValueError(
+            f"innovations have shape {innovations.shape}, the origin's history has {ends[0]} working hours"
+        )
+    else:
+        base, response, backcast = innovations, np.zeros(ends[0]), np.zeros(1)
 
     det = np.full((origins.shape[0], horizon), params.mu)
     if U is not None:

@@ -214,6 +214,7 @@ def model_forecasts(
     dalmp: HourlySeries,
     origins: np.ndarray | list[int],
     horizon: int,
+    innovations: np.ndarray | None = None,
 ) -> ModelForecasts:
     """Modeled-scale forecasts from every origin, from one filter pass.
 
@@ -223,13 +224,16 @@ def model_forecasts(
     known; steps whose regressors it lacks come out NaN. The target is
     transformed and filtered once for all origins, and a GARCH layer's
     variance forecasts come from one pass over the residuals.
+    ``innovations``, the residuals of a single origin's history (a fit's
+    own, when it was fitted on exactly that history), spare the filter
+    pass (:func:`lmpcast.arima.forecast_origins`).
     """
     origins = np.asarray(origins, dtype=np.intp)
     if np.any(np.diff(origins) <= 0):
         raise ValueError("origins must ascend")
     modeled = transform_target(config, history)
     paths = forecast_origins(
-        fitted.spec, fitted.params, modeled, exog_window(config, dalmp), origins, horizon
+        fitted.spec, fitted.params, modeled, exog_window(config, dalmp), origins, horizon, innovations
     )
     variance = paths.variance(_innovation_variances(fitted, paths, horizon))
     return ModelForecasts(paths.mean, variance)
@@ -275,7 +279,7 @@ def pipeline_forecast(
     ``modeled`` is this origin's :func:`model_forecasts` row, one row of at
     least ``horizon`` steps, when it is already known; the history is then
     not filtered again, which is how a fit-once backtest forecasts every
-    origin from one pass.
+    origin from one pass and a rolling one from each refit's residuals.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -416,9 +420,11 @@ def rolling_backtest(
     the history up to that origin, starting each search from the previous
     origin's estimate. Either way each origin conditions on all prices
     observed before it, and forecast steps falling beyond the test window
-    are dropped. Every origin's prices come from :func:`pipeline_forecast`,
-    under ``fit-once`` from its row of the one filter pass. The report
-    counts the fits and their diagnostics.
+    are dropped. Every origin's prices come from :func:`pipeline_forecast`
+    and its :func:`model_forecasts` row: under ``fit-once`` from the one
+    filter pass, under ``rolling`` from the refit's own residuals, which
+    are that origin's innovations, so no history is filtered again. The
+    report counts the fits and their diagnostics.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -462,12 +468,15 @@ def rolling_backtest(
         for origin in range(n_test):
             steps = min(horizon, n_test - origin)
             history = data.window(0, n_train + origin)
-            modeled = None
             if block is not None:
                 modeled = ModelForecasts(block.mean[origin : origin + 1], block.variance[origin : origin + 1])
-            elif origin > 0:
-                fitted = fit_pipeline(config, history, options, start=fitted.params)
-                fits.append(fitted.diagnostics)
+            else:
+                if origin > 0:
+                    fitted = fit_pipeline(config, history, options, start=fitted.params)
+                    fits.append(fitted.diagnostics)
+                modeled = model_forecasts(
+                    config, fitted, history, data.dalmp, [len(history)], steps, fitted.residuals.values
+                )
             future_da = test.dalmp.window(origin, steps)
             prices, _ = pipeline_forecast(config, fitted, history, future_da, steps, modeled)
             forecasts[origin, :steps] = prices.values

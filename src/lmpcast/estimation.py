@@ -1,7 +1,7 @@
 """Maximum-likelihood estimation, BIC, and grid order selection.
 
 The mean equation is fitted by Levenberg-Marquardt (Marquardt 1963;
-MINPACK's ``lmder`` through ``scipy.optimize.leastsq``) on the
+MINPACK's ``lmder``, More 1978, called directly) on the
 concentrated innovations, in an unconstrained coordinate system: AR and MA
 factor coefficients are mapped through the partial-autocorrelation
 reparameterization (each factor independently), so every point the search
@@ -52,7 +52,7 @@ from .arima import (
 from .errors import DegenerateSeries, EstimationFailed, LmpcastError, SeriesTooShort
 from .garch import (GarchParams, GarchSpec, _check_orders, _qml_score, _quasi_log_likelihood, _variance_recursion,
                     forecast_variance_origins)
-from .lagpoly import is_stable
+from .lagpoly import _lmder, is_stable
 from .series import HourlySeries, _autocovariances, _durbin_levinson, _levinson
 
 __all__ = [
@@ -91,7 +91,7 @@ class FitOptions:
     after that many quasi-likelihood evaluations (each score and
     information it takes comes from the variance path of an evaluation it
     already made). A Levenberg-Marquardt step of the mean equation
-    (``leastsq``) evaluates the innovations and a Jacobian of ``k`` columns
+    (``lmder``) evaluates the innovations and a Jacobian of ``k`` columns
     (``k`` AR/MA coefficients), so that search stops after
     ``max_iterations // (k + 1)`` innovation evaluations, as it always has;
     the Jacobian reuses the innovation pass at its point.
@@ -297,22 +297,23 @@ class _ShapeFit(NamedTuple):
 def _fit_shape(spec: ModelSpec, w: np.ndarray, U: np.ndarray | None, x0: np.ndarray, options: FitOptions) -> _ShapeFit:
     """Best of ``options.restarts`` Levenberg-Marquardt runs on the concentrated innovations.
 
-    MINPACK's ``lmder`` (Marquardt 1963) through ``leastsq``, with the
-    analytic Jacobian of :func:`lmpcast.arima._concentrated_jacobian`
-    carried to the search coordinates by :func:`_unpack_jacobian`. One
-    step evaluates the innovations and ``k`` Jacobian columns, so the cap
-    of ``max_iterations // (k + 1)`` innovation evaluations keeps
+    MINPACK's ``lmder`` (Marquardt 1963; More 1978), called directly with
+    the arguments ``scipy.optimize.leastsq`` passes it, with the analytic
+    Jacobian of :func:`lmpcast.arima._concentrated_jacobian` carried to the
+    search coordinates by :func:`_unpack_jacobian`. One step evaluates the
+    innovations and ``k`` Jacobian columns, so the cap of
+    ``max_iterations // (k + 1)`` innovation evaluations keeps
     ``max_iterations`` a budget counted in likelihood evaluations.
+    ``lmder`` writes its iterates into the start it is given, so each run
+    gets a copy: ``x0``, which later starts jitter, stays where it was.
 
     The last point filtered is kept, keyed on the exact bytes of the
     search vector, and any other point is filtered afresh. ``lmder`` takes
     a Jacobian only where it last evaluated the innovations, so the
-    Jacobian reuses that innovation pass; the start's finiteness check and
-    ``leastsq``'s start-up calls are ``lmder``'s first two evaluations,
-    and the winner's innovations are usually the last ones filtered.
+    Jacobian reuses that innovation pass; the start's finiteness check
+    filters the point ``lmder`` evaluates first, and the winner's
+    innovations are usually the last ones filtered.
     """
-    from scipy.optimize import leastsq  # here, so a command that fits nothing never imports it
-
     # the last point filtered: its key, shape and innovation stage, and the key ``out`` holds the Jacobian of
     key = shape = stage = jacobian_key = None
 
@@ -338,11 +339,13 @@ def _fit_shape(spec: ModelSpec, w: np.ndarray, U: np.ndarray | None, x0: np.ndar
             jacobian_key = key
         return out
 
+    maxfev = options.max_iterations // (x0.shape[0] + 1)
+
     def search(start):
         if not np.isfinite(innovations(start)).all():
             return math.inf, None
-        x, _, info, _, ier = leastsq(innovations, start, Dfun=jacobian, full_output=True, ftol=1e-12, xtol=1e-10,
-                                     gtol=1e-10, maxfev=options.max_iterations // (x0.shape[0] + 1))
+        # full output, row-wise Jacobian, ftol, xtol, gtol, maxfev, step bound factor 100, no scaling diagonal
+        x, info, ier = _lmder(innovations, jacobian, start.copy(), (), 1, 0, 1e-12, 1e-10, 1e-10, maxfev, 100, None)
         cost = 0.5 * np.dot(info["fvec"], info["fvec"])
         return cost, (x, cost, int(ier), int(info["nfev"]), int(info["njev"]))
 
@@ -617,7 +620,11 @@ def fit_garch(
     search ended: its scoring iterations, quasi-likelihood evaluations,
     whether it converged, and the flags ``garch_alpha_at_zero`` and
     ``garch_beta_at_zero`` for a coefficient below 1e-6 and
-    ``garch_not_converged`` for a search stopped at its cap. Each fit logs
+    ``garch_not_converged`` for a search stopped at its cap. When every
+    ``alpha`` ends below 1e-6, ``beta`` is not identified (the QML is flat
+    along it), so the fit is the constant-variance model: ``alpha`` and
+    ``beta`` 0 and ``alpha0`` the mean squared residual, flagged
+    ``garch_beta_unidentified`` where there are GARCH terms. Each fit logs
     one DEBUG line with its orders, counts and wall time.
     """
     began = time.perf_counter()
@@ -639,11 +646,19 @@ def fit_garch(
     coeffs = np.concatenate([np.full(p, 0.1 / p), np.full(q, 0.8 / q) if q else np.empty(0)])
     best = _multistart(search, np.log(np.concatenate([[1.0 - coeffs.sum()], coeffs])), options)
     params = GarchParams(alpha0=v0 * best.x[0], alpha=tuple(best.x[1 : 1 + p]), beta=tuple(best.x[1 + p :]))
+    # with no ARCH term the variance only decays from its presample value, so
+    # the QML is flat along beta: report the constant-variance model, whose
+    # QML peaks at the mean squared residual
+    constant = all(a < 1e-6 for a in params.alpha)
+    if constant:
+        params = GarchParams(alpha0=float(np.mean(values**2)), alpha=(0.0,) * p, beta=(0.0,) * q)
     flags = []
     if any(a < 1e-6 for a in params.alpha):
         flags.append("garch_alpha_at_zero")
     if any(b < 1e-6 for b in params.beta):
         flags.append("garch_beta_at_zero")
+    if constant and q:
+        flags.append("garch_beta_unidentified")
     if not best.converged:
         flags.append("garch_not_converged")
     log.debug("fit GARCH(%d,%d): %d scoring iterations and %d QML evaluations, %s, in %.1f ms", p, q,

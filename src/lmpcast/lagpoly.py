@@ -15,11 +15,14 @@ arrays, and every recursion that continues from past values runs as one
 package's one filter entry point: SciPy's C routine behind
 ``scipy.signal.lfilter``, loaded from its extension file so that the
 ``scipy.signal`` package ``__init__``, which imports ``scipy.stats`` and
-more, never runs.
+more, never runs. The same loader, :func:`_load_scipy_routines`, loads
+MINPACK's ``lmder`` for the mean-equation search, so no ``scipy.optimize``
+import runs either.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
 from dataclasses import dataclass
@@ -46,28 +49,37 @@ __all__ = [
 ]
 
 
-def _load_linear_filter(directory: str):
-    """``_linear_filter`` of the ``_sigtools`` extension in ``directory`` (``scipy/signal``).
+def _load_scipy_routines(root: str = os.path.dirname(scipy.__file__)) -> list:
+    """SciPy's private C routines that the package calls, ``[_linear_filter, _lmder]``, from under ``root``.
 
-    Only the extension file is loaded, so the ``scipy.signal`` package
-    ``__init__`` never runs. A missing extension or routine is an
-    ImportError naming the installed SciPy.
+    ``_sigtools._linear_filter`` is the filter behind ``scipy.signal.lfilter``
+    and ``_minpack._lmder`` MINPACK's Levenberg-Marquardt (More 1978) behind
+    ``scipy.optimize.leastsq``. The package's one place that names them:
+    only their extension files are loaded, so neither package ``__init__``
+    runs (``scipy.signal``'s imports ``scipy.stats``, ``scipy.optimize``
+    takes about 0.4 s). A missing extension or routine is an ImportError
+    naming the installed SciPy.
     """
-    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec("scipy.signal._sigtools")
-    routine = None
-    if spec is not None:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        routine = getattr(module, "_linear_filter", None)
-    if routine is None:
-        raise ImportError(
-            f"lmpcast filters through SciPy's C routine _sigtools._linear_filter, "
-            f"which SciPy {scipy.__version__} does not provide in {directory}"
-        )
-    return routine
+    routines = []
+    for package, extension, name in (("signal", "_sigtools", "_linear_filter"), ("optimize", "_minpack", "_lmder")):
+        directory = os.path.join(root, package)
+        finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(f"scipy.{package}.{extension}")
+        routine = None
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            routine = getattr(module, name, None)
+        if routine is None:
+            raise ImportError(
+                f"lmpcast calls SciPy's C routine {extension}.{name}, "
+                f"which SciPy {scipy.__version__} does not provide in {directory}"
+            )
+        routines.append(routine)
+    return routines
 
 
-_linear_filter = _load_linear_filter(os.path.join(os.path.dirname(scipy.__file__), "signal"))
+_linear_filter, _lmder = _load_scipy_routines()
 
 
 def lfilter(b, a, x, zi=None, axis=-1):
@@ -286,7 +298,16 @@ def is_stable(poly: LagPolynomial | np.ndarray, tolerance: float = 1e-8) -> Stab
     A degree-0 polynomial has no roots and is stable with infinite margin.
     """
     dense = poly.dense() if isinstance(poly, LagPolynomial) else poly
-    roots = np.roots(dense[::-1])
+    return _stability(tuple(np.asarray(dense).tolist()), tolerance)
+
+
+# the last results by coefficients: each fit's factors are checked for its
+# boundary flags, then by the conformity checks of its residuals and of its
+# forecasts, which a rolling backtest makes at every refit origin
+@functools.lru_cache(maxsize=16)
+def _stability(coefficients: tuple[float, ...], tolerance: float) -> StabilityResult:
+    """:func:`is_stable` of the ascending-lag ``coefficients``."""
+    roots = np.roots(np.array(coefficients[::-1]))
     if not roots.size:
         return StabilityResult(True, float("inf"))
     margin = float(np.min(np.abs(roots)) - 1.0)

@@ -334,21 +334,31 @@ class TestSynth:
         assert other.read_bytes() != (ws.root / "data.csv").read_bytes()
 
     def test_start_up_and_synth_leave_signal_optimize_and_linalg_unimported(self, ws, tmp_path):
-        # a fresh interpreter: this one has imported them for other tests
+        # a fresh interpreter: this one has imported them for other tests;
+        # the commands that fit, a rolling backtest's refits included, leave
+        # them out too
+        rolling = write_config(tmp_path, "rolling.json", refit="rolling")
+        commands = [
+            ["synth", "--config", ws.config, "--out", str(tmp_path / "x.csv")],
+            ["fit", "--config", ws.config, "--data", ws.data, "--out", str(tmp_path / "model.json")],
+            ["backtest", "--config", rolling, "--data", ws.data, "--out", str(tmp_path / "report.json")],
+        ]
         script = (
             "import json, sys\n"
             "HEAVY = ('scipy.signal', 'scipy.optimize', 'scipy.linalg')\n"
             "import lmpcast.cli\n"
             "after_import = [m for m in HEAVY if m in sys.modules]\n"
-            f"code = lmpcast.cli.main(['synth', '--config', {ws.config!r}, '--out', {str(tmp_path / 'x.csv')!r}])\n"
-            "print(json.dumps([code, after_import, [m for m in HEAVY if m in sys.modules]]))\n"
+            f"codes = [lmpcast.cli.main(argv) for argv in {commands!r}]\n"
+            "print(json.dumps([codes, after_import, [m for m in HEAVY if m in sys.modules]]))\n"
         )
         src = str(Path(lmpcast.cli.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert json.loads(run.stdout.splitlines()[-1]) == [0, [], []]
+        assert json.loads(run.stdout.splitlines()[-1]) == [[0, 0, 0], [], []]
         assert (tmp_path / "x.csv").read_bytes() == (ws.root / "data.csv").read_bytes()
+        report = BacktestReport.from_json((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report.fits == report.n_origins > 1
 
     def test_effective_config_logged(self, ws, tmp_path, caplog):
         out = tmp_path / "log.csv"

@@ -321,10 +321,13 @@ def test_pipeline_forecast_reads_a_given_modeled_row(name):
         pipeline_forecast(config, fitted, history, future, 8, short)
 
 
-@pytest.mark.parametrize("name", ["arma", "sarimax"])
+@pytest.mark.parametrize("name", ["arma", "armax_garch", "sarima", "sarimax"])
 def test_rolling_report_matches_per_origin_refits(name, monkeypatch):
     # every refit is recorded, each origin's prices are rebuilt from its own
-    # fit by the per-origin path, and scored as the report scores them
+    # fit by the per-origin path, which re-derives the whole history, and
+    # scored as the report scores them; the report forecasts each origin
+    # from its refit's own residuals, through a GARCH layer and seasonal
+    # differencing alike
     config = CASES[name][0]
     data = market(508, seed=9)
     n_train, n_test, horizon = 500, 8, 3
@@ -354,6 +357,28 @@ def test_rolling_report_matches_per_origin_refits(name, monkeypatch):
         index, _ = improvement_index(actual, forecast, test.dalmp.window(step - 1, n_terms))
         assert report.improvement[step - 1] == pytest.approx(index, rel=0, abs=TOL)
         assert report.mae[step - 1] == pytest.approx(mae(actual, forecast), rel=0, abs=TOL)
+
+
+@pytest.mark.parametrize("name", ["armax_garch", "sarima"])
+def test_forecast_from_given_innovations_matches_the_filtered_history(name):
+    # a fit's residuals are its history's innovations: handed over, they
+    # replace the filter pass, up to the rounding of the backcast mean
+    config, params, garch = CASES[name]
+    data = market(540, seed=5)
+    history = data.window(0, 500)
+    fitted = restore_pipeline_fit(config, history, params, garch)
+    eps = fitted.residuals.values
+    want = model_forecasts(config, fitted, history, data.dalmp, [500], 8)
+    got = model_forecasts(config, fitted, history, data.dalmp, [500], 8, eps)
+    np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=TOL)
+    np.testing.assert_allclose(got.variance, want.variance, rtol=1e-9, atol=0)
+    modeled, exog = transform_target(config, data), exog_window(config, data.dalmp)
+    paths = arima.forecast_origins(config.spec, params, modeled, exog, [500], 8, eps)
+    np.testing.assert_array_equal(paths.innovations(0), eps)
+    with pytest.raises(ValueError, match=f"shape \\({len(eps) - 1},\\), the origin's history has {len(eps)} "):
+        arima.forecast_origins(config.spec, params, modeled, exog, [500], 8, eps[1:])
+    with pytest.raises(ValueError, match="a single origin, got 2 origins"):
+        arima.forecast_origins(config.spec, params, modeled, exog, [499, 500], 8, eps)
 
 
 def test_fit_once_filters_innovations_a_fixed_number_of_times(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from lmpcast import garch
 from lmpcast.arima import DEFAULT_ORIGIN, ModelSpec, ParameterVector
 from lmpcast.errors import InvalidParameters
-from lmpcast.estimation import FitOptions, fit
+from lmpcast.estimation import FitOptions, fit, fit_garch
 from lmpcast.garch import (
     GarchParams,
     GarchSpec,
@@ -310,6 +310,32 @@ class TestAttachGarch:
         layered = model_forecast(combined, y, horizon=6)
         assert np.array_equal(plain.mean.values, layered.mean.values)
         assert not np.allclose(plain.variance, layered.variance)
+
+    @pytest.mark.parametrize("options", [FitOptions(restarts=1), FitOptions(restarts=1, tolerance=1e-300),
+                                         FitOptions(restarts=3)], ids=["default_tolerance", "tolerance_1e-300",
+                                                                       "restarts_3"])
+    def test_no_arch_effect_is_the_constant_variance_model(self, options):
+        # on these draws alpha ends at 0, where the QML is flat along beta:
+        # the ridge point the search stops on (beta 0.793, 0.937 and 0.841
+        # under these settings) means nothing, so the fit reports constant
+        # variance at the mean squared residual, where that QML peaks
+        eps = series(np.random.default_rng(59).normal(size=10_000))
+        params, diagnostics = fit_garch(eps, GarchSpec(1, 1), options)
+        assert (params.alpha, params.beta) == ((0.0,), (0.0,))
+        assert params.alpha0 == pytest.approx(np.mean(eps.values**2), rel=1e-12)
+        assert "garch_beta_unidentified" in diagnostics.boundary_flags
+        assert "garch_alpha_at_zero" in diagnostics.boundary_flags
+        path = conditional_variances(params, eps).values
+        assert np.array_equal(path, np.full(len(eps), params.alpha0))
+        for scale in (0.999, 1.001):
+            nearby = GarchParams(alpha0=scale * params.alpha0, alpha=(0.0,), beta=(0.0,))
+            assert garch_log_likelihood(nearby, eps) < garch_log_likelihood(params, eps)
+
+    def test_an_arch_effect_keeps_beta(self):
+        params, diagnostics = fit_garch(series(simulate_garch(0.1, 0.1, 0.8, 10_000, seed=61)), GarchSpec(1, 1),
+                                        FitOptions(restarts=1))
+        assert params.alpha[0] > 0.05 and params.beta[0] > 0.5
+        assert "garch_beta_unidentified" not in diagnostics.boundary_flags
 
     def test_parameter_recovery(self):
         eps = simulate_garch(0.1, 0.1, 0.8, 10000, seed=61)

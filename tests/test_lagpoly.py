@@ -301,8 +301,8 @@ class TestFilter:
             np.testing.assert_array_equal(mine, theirs)
 
     def test_missing_extension_names_the_scipy_version(self, tmp_path):
-        with pytest.raises(ImportError, match=re.escape(f"SciPy {scipy.__version__} ")):
-            lagpoly._load_linear_filter(str(tmp_path))
+        with pytest.raises(ImportError, match=re.escape(f"_sigtools._linear_filter, which SciPy {scipy.__version__} ")):
+            lagpoly._load_scipy_routines(str(tmp_path))
 
 
 class TestStability:
@@ -334,6 +334,15 @@ class TestStability:
         np.testing.assert_array_equal(poly.dense(), seasonal_array())
         assert is_stable(seasonal_array()) == is_stable(poly)
         assert is_stable(seasonal_array()).stable
+
+    def test_a_repeated_check_answers_for_its_own_tolerance_and_coefficients(self):
+        # results are reused by exact coefficients and tolerance
+        poly = LagPolynomial.from_factor_coefficients([1.0 / 1.000001])
+        for _ in range(2):
+            assert is_stable(poly, 1e-7).stable
+            assert not is_stable(poly, 1e-5).stable
+            assert not is_stable(LagPolynomial.from_factor_coefficients([1.0 / 0.999999]), 1e-7).stable
+        assert is_stable(poly, 1e-7).margin == pytest.approx(1e-6, rel=1e-6)
 
     def test_stable_ar_simulation_bounded(self):
         # impulse response of a stable AR stays bounded over 10^5 steps

@@ -13,10 +13,11 @@ reference-filtered columns, against the reference likelihood at its own
 differences of the reference innovations. The Levenberg-Marquardt fit is
 checked against Nelder-Mead on the reference objective and against the
 search before concentration, which ran the simplex over ``mu`` and
-``gamma`` too. Its search is checked against ``least_squares``' ``lmder``
-run over both kernel stages at every call, and its filter count against
-one pass per evaluation. The seasonal MA factor, which the search kernel
-inverts phase by phase, is checked against the dense product filter.
+``gamma`` too. Its search is checked against ``least_squares``' and
+``leastsq``'s ``lmder`` run over both kernel stages at every call, and its
+filter count against one pass per evaluation. The seasonal MA factor,
+which the search kernel inverts phase by phase, is checked against the
+dense product filter.
 
 The GARCH layer's quasi-likelihood score and information are checked
 against central differences, and its Fisher-scoring fit against the
@@ -537,6 +538,48 @@ def test_search_takes_the_iterates_of_least_squares_over_both_stages(name):
     eps, beta, _ = arima._concentrated(spec, _unpack(spec, want.x), w, U)
     np.testing.assert_array_equal(got.eps, eps)
     np.testing.assert_array_equal(got.beta, beta)
+
+
+def leastsq_fit_shape(spec, w, U, x0, options):
+    """The search as it ran through ``scipy.optimize.leastsq`` before ``lmder`` was called directly: the same starts,
+    tolerances and cap, with both kernel stages run afresh at every call. Returns the winner's ``(x, cost, info,
+    nfev, njev)``."""
+    from scipy.optimize import leastsq
+
+    def innovations(vec):
+        return arima._concentrated(spec, _unpack(spec, vec), w, U)[0]
+
+    def jacobian(vec):
+        shape = _unpack(spec, vec)
+        eps, _, Z = arima._concentrated(spec, shape, w, U)
+        return arima._concentrated_jacobian(spec, shape, w, eps, Z) @ _unpack_jacobian(spec, vec)
+
+    def search(start):
+        if not np.isfinite(innovations(start)).all():
+            return math.inf, None
+        x, _, info, _, ier = leastsq(innovations, start, Dfun=jacobian, full_output=True, ftol=1e-12, xtol=1e-10,
+                                     gtol=1e-10, maxfev=options.max_iterations // (x0.shape[0] + 1))
+        cost = 0.5 * np.dot(info["fvec"], info["fvec"])
+        return cost, (x, cost, ier, info["nfev"], info["njev"])
+
+    return _multistart(search, x0, options)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_direct_lmder_call_takes_the_iterates_of_leastsq(name):
+    # bit for bit: the same MINPACK routine with the arguments leastsq passes
+    # it; lmder iterates in place, so the start handed over must not move
+    spec, with_exog, options = SEARCHES[name]
+    y = _series(1000, seed=6)
+    w, U = _working_series(spec, y, _exog(y) if with_exog else None)
+    x0 = _starting_vector(spec, w, None)
+    start = x0.copy()
+    got = _fit_shape(spec, w, U, x0, options)
+    np.testing.assert_array_equal(x0, start)
+    x, cost, info, nfev, njev = leastsq_fit_shape(spec, w, U, x0, options)
+    np.testing.assert_array_equal(got.x, x)
+    assert (got.nfev, got.njev, got.info, got.cost) == (nfev, njev, info, cost)
+    assert got.converged == (name != "capped")
 
 
 def test_a_fit_filters_each_evaluated_point_once(monkeypatch):

@@ -3,10 +3,10 @@ code, the recursions compute on dense lag arrays, JSON values are typed
 only by the field tables' leaf readers, CSV cells are formatted only by
 ``dataio``'s table writer, a regressor matrix's column count is read only
 by ``arima``'s regressor rule, the package never imports ``scipy.signal``,
-``scipy.linalg`` or ``least_squares`` and start-up imports no
-``scipy.optimize``, with one
-``lfilter`` in the package, hours are rendered only by ``series.format_hour``,
-and no search runs a Nelder-Mead simplex."""
+``scipy.linalg`` or ``scipy.optimize``, with one ``lfilter`` in the package,
+SciPy's private routines are named only by the one loader that loads them,
+hours are rendered only by ``series.format_hour``, and no search runs a
+Nelder-Mead simplex."""
 
 import ast
 from pathlib import Path
@@ -119,13 +119,10 @@ def column_count_reads(modules):
 
 # the one filter entry point: a top-level function of this module
 FILTER = ("lagpoly.py", "lfilter")
-# never imported: the filter loads SciPy's C routine without ``scipy.signal``,
-# the Durbin-Levinson recursion in ``series`` replaces ``scipy.linalg``, and
-# ``leastsq`` runs the same ``lmder`` as ``least_squares``, without the
-# extra Jacobian per fit that fills fields the fit never reads
-NEVER_IMPORTED = ("scipy.signal", "scipy.linalg", "scipy.optimize.least_squares")
-# imported only inside function bodies, so that start-up skips it
-FIT_TIME = ("scipy.optimize",)
+# never imported: the filter and the Levenberg-Marquardt search load SciPy's
+# C routines without ``scipy.signal`` or ``scipy.optimize``, and the
+# Durbin-Levinson recursion in ``series`` replaces ``scipy.linalg``
+NEVER_IMPORTED = ("scipy.signal", "scipy.linalg", "scipy.optimize")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -143,25 +140,49 @@ def _loaded(node):
 
 
 def scipy_imports_and_filters(modules):
-    """``module:line what`` of each import of ``scipy.signal`` or ``scipy.linalg``,
-    each import of ``scipy.optimize`` outside a function body, and each
-    ``lfilter`` defined anywhere but at the top level of ``lagpoly.py``."""
+    """``module:line what`` of each import of ``scipy.signal``, ``scipy.linalg``
+    or ``scipy.optimize``, and each ``lfilter`` defined anywhere but at the
+    top level of ``lagpoly.py``."""
     found = []
     for module, tree in modules:
-        in_functions = {id(sub) for node in ast.walk(tree) if isinstance(node, (*DEFS, ast.Lambda))
-                        for sub in ast.walk(node) if sub is not node}
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = _loaded(node)
                 never = [p for p in NEVER_IMPORTED if _under(names, (p,))]
                 if never:
                     found.append((module, node.lineno, never[0]))
-                elif id(node) not in in_functions and _under(names, FIT_TIME):
-                    found.append((module, node.lineno, "start-up import"))
             elif isinstance(node, DEFS) and node.name == FILTER[1]:
                 if (module, node in tree.body) != (FILTER[0], True):
                     found.append((module, node.lineno, "lfilter"))
     return [f"{module}:{line} {what}" for module, line, what in sorted(found)]
+
+
+# SciPy's private C routines the package calls and the extension files that
+# hold them: named only in the body of the one loader
+PRIVATE_SCIPY = {"_linear_filter", "_lmder", "_sigtools", "_minpack"}
+LOADER = ("lagpoly.py", "_load_scipy_routines")
+
+
+def private_scipy_lookups(modules):
+    """``module:line name`` of each string, attribute or absolute import that
+    names a private SciPy routine or its extension outside the loader's body
+    (a string names one when it is one of its dot-separated parts)."""
+    found = []
+    for module, tree in modules:
+        for node in tree.body:
+            if (module, getattr(node, "name", None)) == LOADER:
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    names = sub.value.split(".")
+                elif isinstance(sub, ast.Attribute):
+                    names = [sub.attr]
+                elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+                    names = [part for name in _loaded(sub) for part in name.split(".")]
+                else:
+                    continue
+                found += [f"{module}:{sub.lineno} {name}" for name in names if name in PRIVATE_SCIPY]
+    return found
 
 
 def isoformat_uses(modules):
@@ -297,17 +318,42 @@ def test_check_sees_scipy_imports_and_a_second_lfilter():
     arima = ast.parse("import scipy.signal._sigtools\n\ndef lfilter(b, a, x):\n    return x\n")
     assert scipy_imports_and_filters([("lagpoly.py", lagpoly), ("estimation.py", estimation), ("arima.py", arima)]) == [
         "arima.py:1 scipy.signal", "arima.py:3 lfilter",
-        "estimation.py:1 start-up import", "estimation.py:5 scipy.linalg", "estimation.py:9 scipy.signal",
+        "estimation.py:1 scipy.optimize", "estimation.py:5 scipy.linalg", "estimation.py:8 scipy.optimize",
+        "estimation.py:9 scipy.signal",
         "lagpoly.py:7 lfilter", "lagpoly.py:8 scipy.linalg",
     ]
 
 
 def test_check_sees_least_squares():
+    # inside a function body too: no search imports ``scipy.optimize`` at fit time
     estimation = ast.parse(
         "def _fit_shape(spec):\n    from scipy.optimize import least_squares, leastsq\n    return leastsq\n"
     )
-    assert scipy_imports_and_filters([("estimation.py", estimation)]) == [
-        "estimation.py:2 scipy.optimize.least_squares"
+    assert scipy_imports_and_filters([("estimation.py", estimation)]) == ["estimation.py:2 scipy.optimize"]
+
+
+def test_private_scipy_routines_are_named_only_by_the_loader():
+    modules = parse_src()
+    assert LOADER[1] in [getattr(node, "name", None) for node in dict(modules)[LOADER[0]].body]
+    assert private_scipy_lookups(modules) == []
+
+
+def test_check_sees_private_scipy_names_outside_the_loader():
+    lagpoly = ast.parse(
+        "def _load_scipy_routines(root):\n"
+        "    return [getattr(load(f'{root}/_sigtools'), '_linear_filter'), load('scipy.optimize._minpack')._lmder]\n\n"
+        "_linear_filter, _lmder = _load_scipy_routines('.')\n"
+        "SIGTOOLS = 'scipy.signal._sigtools'\n"
+    )
+    estimation = ast.parse(
+        "from .lagpoly import _lmder\n"
+        "from scipy.optimize._minpack import _lmder as lmder\n\n"
+        "def _fit_shape(module):\n    return module._lmder, getattr(module, '_lmder'), _lmder\n"
+    )
+    assert private_scipy_lookups([("lagpoly.py", lagpoly), ("estimation.py", estimation)]) == [
+        "lagpoly.py:5 _sigtools",
+        "estimation.py:2 _minpack", "estimation.py:2 _minpack", "estimation.py:2 _lmder",
+        "estimation.py:5 _lmder", "estimation.py:5 _lmder",
     ]
 
 
