@@ -396,6 +396,21 @@ def _regress(Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(Z.T, Y.T, rcond=None)[0].T
 
 
+def _combine(c: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``c @ Z``, the rows of ``Z`` weighted by ``c``.
+
+    With one row each element is the same single product either way, so
+    ``c[0] * Z[0]`` is ``c @ Z`` bit for bit without numpy's slow one-row
+    matmul path.
+    """
+    return c[0] * Z[0] if Z.shape[0] == 1 else c @ Z
+
+
+# the numerator of every inverse filter, and the unit factor; read only, as it is shared
+_UNIT = np.ones(1)
+_UNIT.flags.writeable = False
+
+
 def _ma_inverse(theta: np.ndarray, Theta: np.ndarray, S: int, x: np.ndarray) -> np.ndarray:
     """``x`` through ``1 / (theta(B) THETA(B^S))``, one factor at a time; ``x`` itself where both are 1.
 
@@ -408,13 +423,13 @@ def _ma_inverse(theta: np.ndarray, Theta: np.ndarray, S: int, x: np.ndarray) -> 
     product filter starts.
     """
     if theta.shape[0] > 1:
-        x = lfilter([1.0], theta, x)
+        x = lfilter(_UNIT, theta, x)
     if Theta.shape[0] > 1:
         m = x.shape[0]
         seasons = -(-m // S)
         grid = np.zeros(seasons * S)
         grid[:m] = x
-        x = lfilter([1.0], Theta, grid.reshape(seasons, S), axis=0).reshape(-1)[:m]
+        x = lfilter(_UNIT, Theta, grid.reshape(seasons, S), axis=0).reshape(-1)[:m]
     return x
 
 
@@ -454,7 +469,7 @@ def _concentrated(
         row[:] = _ma_inverse(theta, Theta, spec.diff.S, row)
     y, Z = Y[0], Y[1:]
     beta = _regress(Z, y[None])[0] if r else np.empty(0)
-    eps = y - beta @ Z if r else y
+    eps = y - _combine(beta, Z) if r else y
     return eps, beta, Z
 
 
@@ -466,6 +481,9 @@ def _concentrated_jacobian(
     Z: np.ndarray,
 ) -> np.ndarray:
     """``de/d(phi, Phi, theta, Theta)`` at the shape in ``params``, shaped ``(len(w), k)``.
+
+    A transposed view of the ``(k, len(w))`` array it fills a row at a time,
+    so ``.T`` is that contiguous array: MINPACK's column layout.
 
     The Jacobian stage of the kernel: ``eps`` and ``Z`` are what
     :func:`_concentrated` returned at the same shape. Kaufman's (1975)
@@ -483,23 +501,25 @@ def _concentrated_jacobian(
     # the full backcast, so the derivative at a zero last coefficient sees its lag
     K = spec.max_ar_lag
     w_ext = _backcast(w, K)
-    for factor, order, step, first in ((_lag_array((), params.Phi, S), spec.p, 1, 0),
-                                       (_lag_array(params.phi, (), S), spec.P, S, spec.p)):
+    # each AR factor's rows lag the working series through the other factor
+    for other, order, step, first in ((((), params.Phi), spec.p, 1, 0), ((params.phi, ()), spec.P, S, spec.p)):
         if order:
-            lagged = np.convolve(factor, w_ext)
+            # negated once for all the factor's rows
+            lagged = -np.convolve(_lag_array(*other, S), w_ext)
             for i, row in enumerate(J[first : first + order], start=1):
-                row[:] = _ma_inverse(theta, Theta, S, -lagged[K - i * step : K - i * step + m])
-    one = np.ones(1)
-    for factors, order, step, first in (((theta, one), spec.q, 1, spec.p + spec.P),
-                                        ((one, Theta), spec.Q, S, spec.p + spec.P + spec.q)):
+                row[:] = _ma_inverse(theta, Theta, S, lagged[K - i * step : K - i * step + m])
+    for factors, order, step, first in (((theta, _UNIT), spec.q, 1, spec.p + spec.P),
+                                        ((_UNIT, Theta), spec.Q, S, spec.p + spec.P + spec.q)):
         if order:
             g = _ma_inverse(*factors, S, eps)
             for i, row in enumerate(J[first : first + order], start=1):
                 row[: i * step] = 0.0
                 row[i * step :] = g[: m - i * step]
     if Z.shape[0]:
+        # a row at a time: one ``C @ Z`` would be a second (k, m) array, and
+        # with two or more regressor rows it rounds differently
         for row, c in zip(J, _regress(Z, J)):
-            row -= c @ Z
+            row -= _combine(c, Z)
     return J.T
 
 

@@ -228,10 +228,22 @@ def model_forecasts(
     own, when it was fitted on exactly that history), spare the filter
     pass (:func:`lmpcast.arima.forecast_origins`).
     """
+    return _modeled_forecasts(config, fitted, transform_target(config, history), dalmp, origins, horizon, innovations)
+
+
+def _modeled_forecasts(
+    config: PipelineConfig,
+    fitted: FittedModel,
+    modeled: HourlySeries,
+    dalmp: HourlySeries,
+    origins: np.ndarray | list[int],
+    horizon: int,
+    innovations: np.ndarray | None = None,
+) -> ModelForecasts:
+    """:func:`model_forecasts` from the history already transformed, ``modeled`` (:func:`transform_target`)."""
     origins = np.asarray(origins, dtype=np.intp)
     if np.any(np.diff(origins) <= 0):
         raise ValueError("origins must ascend")
-    modeled = transform_target(config, history)
     paths = forecast_origins(
         fitted.spec, fitted.params, modeled, exog_window(config, dalmp), origins, horizon, innovations
     )
@@ -424,7 +436,9 @@ def rolling_backtest(
     and its :func:`model_forecasts` row: under ``fit-once`` from the one
     filter pass, under ``rolling`` from the refit's own residuals, which
     are that origin's innovations, so no history is filtered again. The
-    report counts the fits and their diagnostics.
+    forecasts read one transform of the whole history (:func:`transform_target`),
+    so beyond that one a backtest transforms only what each fit transforms.
+    The report counts the fits and their diagnostics.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -452,18 +466,14 @@ def rolling_backtest(
             concat(train.dalmp, test.dalmp), concat(train.rtlmp, test.rtlmp), train.node
         )
         n_train = len(train)
+        # every origin's history, transformed once: the transform is
+        # elementwise, so a history's is a prefix of it; the last test hour
+        # is never history, so it is not transformed
+        target = transform_target(config, data.window(0, n_train + n_test - 1))
         block = None
         if refit == "fit-once":
-            # one filter pass serves every origin; the last test hour is
-            # never history, so it is not transformed
-            block = model_forecasts(
-                config,
-                fitted,
-                data.window(0, n_train + n_test - 1),
-                data.dalmp,
-                n_train + starts,
-                horizon,
-            )
+            # one filter pass serves every origin
+            block = _modeled_forecasts(config, fitted, target, data.dalmp, n_train + starts, horizon)
         forecasts = np.full((n_test, horizon), np.nan)
         for origin in range(n_test):
             steps = min(horizon, n_test - origin)
@@ -474,9 +484,8 @@ def rolling_backtest(
                 if origin > 0:
                     fitted = fit_pipeline(config, history, options, start=fitted.params)
                     fits.append(fitted.diagnostics)
-                modeled = model_forecasts(
-                    config, fitted, history, data.dalmp, [len(history)], steps, fitted.residuals.values
-                )
+                modeled = _modeled_forecasts(config, fitted, target.window(0, len(history)), data.dalmp,
+                                             [len(history)], steps, fitted.residuals.values)
             future_da = test.dalmp.window(origin, steps)
             prices, _ = pipeline_forecast(config, fitted, history, future_da, steps, modeled)
             forecasts[origin, :steps] = prices.values

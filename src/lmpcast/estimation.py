@@ -27,6 +27,7 @@ searches are multi-start with seeded jitter and therefore deterministic.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -195,6 +196,14 @@ def _unpack(spec: ModelSpec, vec: np.ndarray) -> _Shape:
 _COMPLEX_STEP = 1e-30
 
 
+@functools.lru_cache(maxsize=None)
+def _complex_steps(order: int) -> np.ndarray:
+    """The ``order`` complex steps of :func:`_unpack_jacobian` on a diagonal, read only and built once per order."""
+    steps = 1j * _COMPLEX_STEP * np.eye(order)
+    steps.flags.writeable = False
+    return steps
+
+
 def _unpack_jacobian(spec: ModelSpec, vec: np.ndarray) -> np.ndarray:
     """``d(phi, Phi, theta, Theta)/d vec``, the factors concatenated, as a ``k x k`` matrix.
 
@@ -208,7 +217,7 @@ def _unpack_jacobian(spec: ModelSpec, vec: np.ndarray) -> np.ndarray:
     for order in (spec.p, spec.P, spec.q, spec.Q):
         if order:
             # row m holds coordinate m under each of the order steps
-            steps = vec[i : i + order, None] + 1j * _COMPLEX_STEP * np.eye(order)
+            steps = vec[i : i + order, None] + _complex_steps(order)
             coeffs = _levinson(list(_PACF_LIMIT * np.tanh(steps)))
             D[i : i + order, i : i + order] = np.array(coeffs).imag / _COMPLEX_STEP
         i += order
@@ -298,9 +307,14 @@ def _fit_shape(spec: ModelSpec, w: np.ndarray, U: np.ndarray | None, x0: np.ndar
     """Best of ``options.restarts`` Levenberg-Marquardt runs on the concentrated innovations.
 
     MINPACK's ``lmder`` (Marquardt 1963; More 1978), called directly with
-    the arguments ``scipy.optimize.leastsq`` passes it, with the analytic
-    Jacobian of :func:`lmpcast.arima._concentrated_jacobian` carried to the
-    search coordinates by :func:`_unpack_jacobian`. One step evaluates the
+    the arguments ``scipy.optimize.leastsq`` passes it with
+    ``col_deriv=True``, with the analytic Jacobian of
+    :func:`lmpcast.arima._concentrated_jacobian` carried to the search
+    coordinates by :func:`_unpack_jacobian`. The Jacobian is handed over in
+    MINPACK's column layout, a ``(k, m)`` array with one row per search
+    coordinate: the filter Jacobian is built as those rows, so the map is
+    one product ``D.T @ J`` into a preallocated array, which ``lmder``
+    copies without transposing it. One step evaluates the
     innovations and ``k`` Jacobian columns, so the cap of
     ``max_iterations // (k + 1)`` innovation evaluations keeps
     ``max_iterations`` a budget counted in likelihood evaluations.
@@ -327,15 +341,17 @@ def _fit_shape(spec: ModelSpec, w: np.ndarray, U: np.ndarray | None, x0: np.ndar
     def innovations(vec: np.ndarray) -> np.ndarray:
         return innovation_stage(vec)[0]
 
-    # every Jacobian is written into this one array (MINPACK copies it);
-    # a new array per step raised peak memory
-    out = np.empty((w.shape[0], x0.shape[0]))
+    # every Jacobian is written into this one array, a row per search
+    # coordinate: MINPACK's column layout, which it copies as it stands
+    # (a new array per step raised peak memory)
+    out = np.empty((x0.shape[0], w.shape[0]))
 
     def jacobian(vec: np.ndarray) -> np.ndarray:
         nonlocal jacobian_key
         eps, _, Z = innovation_stage(vec)
         if jacobian_key != key:
-            np.matmul(_concentrated_jacobian(spec, shape, w, eps, Z), _unpack_jacobian(spec, vec), out=out)
+            # (m, k) view of the (k, m) filter Jacobian, so ``.T`` is that array itself
+            np.matmul(_unpack_jacobian(spec, vec).T, _concentrated_jacobian(spec, shape, w, eps, Z).T, out=out)
             jacobian_key = key
         return out
 
@@ -344,8 +360,8 @@ def _fit_shape(spec: ModelSpec, w: np.ndarray, U: np.ndarray | None, x0: np.ndar
     def search(start):
         if not np.isfinite(innovations(start)).all():
             return math.inf, None
-        # full output, row-wise Jacobian, ftol, xtol, gtol, maxfev, step bound factor 100, no scaling diagonal
-        x, info, ier = _lmder(innovations, jacobian, start.copy(), (), 1, 0, 1e-12, 1e-10, 1e-10, maxfev, 100, None)
+        # full output, column-wise Jacobian, ftol, xtol, gtol, maxfev, step bound factor 100, no scaling diagonal
+        x, info, ier = _lmder(innovations, jacobian, start.copy(), (), 1, 1, 1e-12, 1e-10, 1e-10, maxfev, 100, None)
         cost = 0.5 * np.dot(info["fvec"], info["fvec"])
         return cost, (x, cost, int(ier), int(info["nfev"]), int(info["njev"]))
 

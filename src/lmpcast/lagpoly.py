@@ -85,14 +85,13 @@ _linear_filter, _lmder = _load_scipy_routines()
 def lfilter(b, a, x, zi=None, axis=-1):
     """``scipy.signal.lfilter(b, a, x, axis=axis, zi=zi)`` on float64 input; with ``zi``, ``(y, zf)``.
 
+    ``b`` and ``a`` are one-dimensional: arrays or sequences, never scalars.
     A one-term denominator without ``zi`` runs one ``np.convolve(b / a[0],
     row)`` per lane of ``x`` along ``axis``, as SciPy's wrapper does, and
     every other call SciPy's C routine, so each form the package uses equals
     SciPy bit for bit.
     """
-    b = np.atleast_1d(b)
-    a = np.atleast_1d(a)
-    x = np.asarray(x)
+    b, a, x = np.asarray(b), np.asarray(a), np.asarray(x)
     if a.shape[0] == 1 and zi is None:
         b = b / a[0]
         x = np.moveaxis(x, axis, -1)

@@ -359,6 +359,34 @@ def test_rolling_report_matches_per_origin_refits(name, monkeypatch):
         assert report.mae[step - 1] == pytest.approx(mae(actual, forecast), rel=0, abs=TOL)
 
 
+@pytest.mark.parametrize("name", ["arma", "armax_garch", "sarima"])
+def test_a_backtest_transforms_each_fitted_history_once(name, monkeypatch):
+    # one transform per fit, which the fit makes of its own history, and
+    # one of the whole history for the forecasts: a rolling refit origin
+    # does not transform its history a second time to forecast from it
+    config = CASES[name][0]
+    data = market(508, seed=9)
+    n_train, n_test = 500, 8
+    train, test = data.window(0, n_train), data.window(n_train, n_test)
+    calls = []
+    real = transform_target
+
+    def counting(config, dataset):
+        calls.append(len(dataset.dalmp))
+        return real(config, dataset)
+
+    monkeypatch.setattr(backtest, "transform_target", counting)
+    options = FitOptions(restarts=1, max_iterations=300)
+    reports = {}
+    for refit in ("fit-once", "rolling"):
+        calls.clear()
+        reports[refit] = rolling_backtest(config, train, test, 3, refit=refit, options=options)
+        # the fits' histories, then the whole history the origins see
+        fitted = [n_train + origin for origin in range(reports[refit].fits)]
+        assert sorted(calls) == sorted(fitted + [n_train + n_test - 1])
+    assert reports["fit-once"].fits == 1 and reports["rolling"].fits == n_test
+
+
 @pytest.mark.parametrize("name", ["armax_garch", "sarima"])
 def test_forecast_from_given_innovations_matches_the_filtered_history(name):
     # a fit's residuals are its history's innovations: handed over, they

@@ -520,6 +520,8 @@ SEARCHES = {
     "grid_5_5": (ModelSpec(p=5, q=5), False, FitOptions(restarts=1)),
     # 100 // (10 + 1) = 9 innovation evaluations: stopped at the cap
     "capped": (ModelSpec(p=5, q=5), False, FitOptions(max_iterations=100, restarts=1)),
+    # no regression coefficient, so nothing is projected out
+    "no_constant": (ModelSpec(p=2, q=1, constant=False), False, FitOptions(restarts=1)),
 }
 
 
@@ -582,13 +584,143 @@ def test_direct_lmder_call_takes_the_iterates_of_leastsq(name):
     assert got.converged == (name != "capped")
 
 
+def reference_search_stages(spec, vec, w, U, stacked=False):
+    """The innovations and the Jacobian the search handed MINPACK before it took MINPACK's column layout.
+
+    Both kernel stages as first written: ``e = y - beta @ Z``, and the
+    filter Jacobian with the filtered regressor rows ``Z`` projected out of
+    one row at a time by ``c @ Z`` (of all rows by one ``C @ Z`` with
+    ``stacked``), carried to the search coordinates as the ``(m, k)``
+    product with ``_unpack_jacobian``.
+    """
+    S = spec.diff.S
+    shape = _unpack(spec, vec)
+    theta, Theta = arima._lag_array(shape.theta, (), 1), arima._lag_array(shape.Theta, (), 1)
+    r = int(spec.constant) + spec.exog_count
+    m = w.shape[0]
+    Y = np.empty((1 + r, m))
+    Y[0] = arima._ar_side(spec, shape, w)
+    if spec.constant:
+        Y[1] = 1.0
+    if U is not None:
+        Y[1 + int(spec.constant) :] = U.T
+    for row in Y:
+        row[:] = arima._ma_inverse(theta, Theta, S, row)
+    y, Z = Y[0], Y[1:]
+    eps = y - arima._regress(Z, y[None])[0] @ Z if r else y
+    J = np.empty((spec.p + spec.P + spec.q + spec.Q, m))
+    K = spec.max_ar_lag
+    w_ext = arima._backcast(w, K)
+    for factor, order, step, first in ((arima._lag_array((), shape.Phi, S), spec.p, 1, 0),
+                                       (arima._lag_array(shape.phi, (), S), spec.P, S, spec.p)):
+        if order:
+            lagged = np.convolve(factor, w_ext)
+            for i, row in enumerate(J[first : first + order], start=1):
+                row[:] = arima._ma_inverse(theta, Theta, S, -lagged[K - i * step : K - i * step + m])
+    one = np.ones(1)
+    for factors, order, step, first in (((theta, one), spec.q, 1, spec.p + spec.P),
+                                        ((one, Theta), spec.Q, S, spec.p + spec.P + spec.q)):
+        if order:
+            g = arima._ma_inverse(*factors, S, eps)
+            for i, row in enumerate(J[first : first + order], start=1):
+                row[: i * step] = 0.0
+                row[i * step :] = g[: m - i * step]
+    if r:
+        C = arima._regress(Z, J)
+        if stacked:
+            J -= C @ Z
+        else:
+            for row, c in zip(J, C):
+                row -= c @ Z
+    return eps, J.T @ _unpack_jacobian(spec, vec)
+
+
+def record_minpack(spec, w, U, options, monkeypatch):
+    """Fit the shape, recording what ``_lmder`` receives: ``(stage, search point, array)`` per callback call, stage
+    0 the innovations and 1 the Jacobian."""
+    calls = []
+    real = estimation._lmder
+
+    def recording(fun, jac, x0, args, full_output, col_deriv, *rest):
+        assert col_deriv == 1  # a row per search coordinate: MINPACK's column layout
+
+        def record(stage, callback):
+            def wrapped(vec):
+                out = callback(vec)
+                calls.append((stage, vec.copy(), out.copy()))
+                return out
+            return wrapped
+
+        return real(record(0, fun), record(1, jac), x0, args, full_output, col_deriv, *rest)
+
+    monkeypatch.setattr(estimation, "_lmder", recording)
+    _fit_shape(spec, w, U, _starting_vector(spec, w, None), options)
+    monkeypatch.setattr(estimation, "_lmder", real)
+    return calls
+
+
+def oracle_mismatches(spec, w, U, calls):
+    """Indices of the recorded calls whose array differs in any bit from :func:`reference_search_stages`', the
+    Jacobian compared with the oracle's transposed."""
+    mismatches = []
+    for i, (stage, vec, got) in enumerate(calls):
+        want = reference_search_stages(spec, vec, w, U)[stage]
+        if not np.array_equal(got, want.T if stage else want):
+            mismatches.append(i)
+    return mismatches
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_minpack_receives_the_stages_of_the_row_wise_projection(name, monkeypatch):
+    # bit for bit at every point MINPACK evaluates, the Jacobian in its
+    # column layout: r = 0, 1 and 2 regression coefficients, the ARMAX and
+    # SARIMA cases, and a search stopped at its cap
+    spec, with_exog, options = SEARCHES[name]
+    y = _series(1000, seed=6)
+    w, U = _working_series(spec, y, _exog(y) if with_exog else None)
+    calls = record_minpack(spec, w, U, options, monkeypatch)
+    assert {stage for stage, _, _ in calls} == {0, 1}
+    assert oracle_mismatches(spec, w, U, calls) == []
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_the_oracle_catches_a_stacked_projection(name, monkeypatch):
+    # the check of the check: with the projection written as one
+    # ``J -= C @ Z``, the oracle flags exactly the Jacobians where that
+    # rounds differently from the row loop. With one regressor row each
+    # element is a single product either way, so it never does; with two
+    # (the ARMAX case) the matrix product rounds differently, and the oracle
+    # must see it
+    spec, with_exog, options = SEARCHES[name]
+    y = _series(1000, seed=6)
+    w, U = _working_series(spec, y, _exog(y) if with_exog else None)
+    real = arima._concentrated_jacobian
+
+    def stacked(spec, params, w, eps, Z):
+        J = real(spec, params, w, eps, Z[:0]).T  # nothing projected yet
+        if Z.shape[0]:
+            J -= arima._regress(Z, J) @ Z
+        return J.T
+
+    monkeypatch.setattr(estimation, "_concentrated_jacobian", stacked)
+    calls = record_minpack(spec, w, U, options, monkeypatch)
+    rounds_differently = [
+        i for i, (stage, vec, _) in enumerate(calls)
+        if stage and not np.array_equal(*(reference_search_stages(spec, vec, w, U, stacked)[1]
+                                          for stacked in (False, True)))
+    ]
+    assert oracle_mismatches(spec, w, U, calls) == rounds_differently
+    r = int(spec.constant) + spec.exog_count
+    assert bool(rounds_differently) == (r >= 2)
+
+
 def test_a_fit_filters_each_evaluated_point_once(monkeypatch):
     # from a start whose MA side is non-zero, so every pass filters: an
-    # innovation pass filters the AR side and r = 2 regressor rows (the
-    # constant and the regressor), a Jacobian pass the p + P = 1 AR row and
-    # the innovations once for the one MA factor, and the closing
-    # residuals one row
-    spec = ModelSpec(p=1, q=2, exog_count=1)
+    # innovation pass filters the AR side and the r regressor rows, a
+    # Jacobian pass the p + P AR rows and the innovations once per MA
+    # factor, and the closing residuals one row. ARMAX(1, 2): r = 2 (the
+    # constant and the regressor), one AR row; the (5, 5) grid cell: r = 1,
+    # five AR rows, k = 10 search coordinates
     y = _series(1000, seed=6)
     calls = []
     real = lagpoly.lfilter
@@ -599,11 +731,16 @@ def test_a_fit_filters_each_evaluated_point_once(monkeypatch):
 
     for module in (arima, lagpoly):
         monkeypatch.setattr(module, "lfilter", counting)
-    start = ParameterVector(phi=(0.5,), theta=(0.2, 0.1))
-    fitted = fit(spec, y, _exog(y), FitOptions(restarts=1), start=start)
-    d = fitted.diagnostics
-    assert d.converged
-    assert len(calls) == (1 + 2) * d.evaluations + (1 + 1) * d.iterations + 1
+    for spec, exog, start, r in (
+        (ModelSpec(p=1, q=2, exog_count=1), _exog(y), ParameterVector(phi=(0.5,), theta=(0.2, 0.1)), 2),
+        (ModelSpec(p=5, q=5), None,
+         ParameterVector(phi=(0.3, 0.1, 0.05, 0.02, 0.01), theta=(0.3, -0.1, 0.05, -0.02, 0.01)), 1),
+    ):
+        calls.clear()
+        fitted = fit(spec, y, exog, FitOptions(restarts=1), start=start)
+        d = fitted.diagnostics
+        assert d.converged
+        assert len(calls) == (1 + r) * d.evaluations + (spec.p + spec.P + 1) * d.iterations + 1
 
 
 def reference_variance_recursion(alpha0, alpha, beta, eps2, v0):
