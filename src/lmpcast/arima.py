@@ -8,36 +8,35 @@ and seasonal differencing):
 with all four factors written in the all-minus convention
 (``1 - a_1 B - a_2 B^2 - ...``), Gaussian innovations ``e_t`` of variance
 ``sigma2``, and the regression term entering additively on the differenced
-scale. Seasonal and non-seasonal factors are expanded into a single pair of
-polynomials before any recursion, so one code path serves plain ARMA and
-the fully seasonal case; only the search kernel below inverts the MA side
-one factor at a time.
+scale. One code path serves plain ARMA and the fully seasonal case: the AR
+factors are expanded into one polynomial before any recursion, and the MA
+side is inverted one factor at a time in one place (:func:`_ma_inverse`),
+which the search, the residuals, the likelihood and the forecasts share.
 
 The likelihood is the conditional Gaussian one: presample working-series
 values are backcast with the working-series sample mean, presample
 innovations are set to zero, and the sum runs over the full differenced
 sample. The innovations are linear in ``mu`` and ``gamma``, so for a given
-AR/MA shape the likelihood is maximized over them (and ``sigma2``) in
-closed form (:func:`profiled_log_likelihood`). The kernel runs in two
-stages: the innovation stage (:func:`_concentrated`) and, from its output,
-the innovations' Jacobian for the least-squares search
-(:func:`_concentrated_jacobian`). Both stages run the MA inverse as
-``theta(B)`` and then ``THETA(B^S)`` as ``S`` interleaved order-``Q``
-filters (:func:`_ma_inverse`), equal to the product filter to rounding.
-Every recursion is a linear filter on dense lag arrays built from the
-factor tuples; the sparse
-:func:`ar_polynomial`/:func:`ma_polynomial` are the public reference. The
-AR side runs as ``np.convolve``, the MA inverse through ``lagpoly.lfilter``,
-the package's one filter entry point (SciPy's C routine). Forecasts are one
-level-scale filter by the AR times the differencing operator, continued
-from each origin's last levels and forced by what its last innovations add
-(``past_terms``).
+AR/MA shape the likelihood is maximized over them (and ``sigma2``) in closed
+form (:func:`profiled_log_likelihood`). The kernel runs in two stages: the
+innovation stage (:func:`_concentrated`) and, from its output, the
+innovations' Jacobian for the least-squares search
+(:func:`_concentrated_jacobian`). Every recursion is a linear filter on
+dense lag arrays built from the factor tuples; the sparse
+:func:`ar_polynomial`/:func:`ma_polynomial` are the public reference, whose
+MA product filter the phase-by-phase inverse equals to rounding. The AR side
+runs as ``np.convolve``, the MA inverse through ``lagpoly.lfilter``, the
+package's one filter entry point (SciPy's C routine). The dense MA product
+serves only as a numerator (simulation, forecasts) or for its roots.
+Forecasts are one level-scale filter by the AR times the differencing
+operator, continued from each origin's last levels and forced by what its
+last innovations add (``past_terms``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -306,13 +305,13 @@ def _innovations(
 
     Unavailable lagged working values are backcast with ``backcast``,
     by default the working-series sample mean; presample innovations are
-    zero.
+    zero. The MA side is inverted by :func:`_ma_inverse`, as in the search.
     """
-    ma = _lag_array(params.theta, params.Theta, spec.diff.S)
+    theta, Theta = _lag_array(params.theta, (), 1), _lag_array(params.Theta, (), 1)
     rhs = _ar_side(spec, params, w, backcast) - params.mu
     if U is not None:
         rhs = rhs - U @ np.asarray(params.gamma)
-    return lfilter([1.0], ma, rhs) if ma.shape[0] > 1 else rhs
+    return _ma_inverse(theta, Theta, spec.diff.S, rhs)
 
 
 def _ar_side(
@@ -684,7 +683,8 @@ def forecast_origins(
     ends = origins - spec.diff.order
     if innovations is None:
         base = _innovations(spec, params, w, None if U is None else U[:m], backcast=0.0)
-        response = lfilter([1.0], ma, _ar_side(spec, params, np.zeros(m), backcast=1.0))
+        # what a unit backcast mean adds: the innovations of a zero series without mu or gamma
+        response = _innovations(spec, replace(params, mu=0.0), np.zeros(m), None, backcast=1.0)
         # centring keeps the running sum's rounding at the scale of the spread
         centre = w.mean()
         backcast = centre + np.cumsum(w - centre)[ends - 1] / ends

@@ -4,8 +4,13 @@ The oracle here is the kernel as first written: AR and MA polynomials
 expanded through :class:`LagPolynomial` products, both filter sides run
 through ``lfilter``, and the parameter map run on numpy arrays for every
 factor, empty ones included. The dense kernel does the same arithmetic, so
-its innovations must match exactly; only seasonal and non-seasonal lags
-that overlap may sum in a different order.
+without a seasonal MA factor its innovations must match exactly; only
+seasonal and non-seasonal lags that overlap may sum in a different order.
+The package inverts a seasonal MA factor phase by phase
+(``arima._ma_inverse``), which equals the dense product filter to rounding,
+and the bound that allows for this is checked to catch a wrong seasonal
+inverse. Each origin's innovations in a multi-origin forecast are checked
+against the reference at that origin's backcast mean.
 
 The concentrated likelihood is checked against least squares over the
 reference-filtered columns, against the reference likelihood at its own
@@ -16,8 +21,7 @@ search before concentration, which ran the simplex over ``mu`` and
 ``gamma`` too. Its search is checked against ``least_squares``' and
 ``leastsq``'s ``lmder`` run over both kernel stages at every call, and its
 filter count against one pass per evaluation. The seasonal MA factor,
-which the search kernel inverts phase by phase, is checked against the
-dense product filter.
+inverted phase by phase, is checked against the dense product filter.
 
 The GARCH layer's quasi-likelihood score and information are checked
 against central differences, and its Fisher-scoring fit against the
@@ -240,6 +244,19 @@ CASES = {
 }
 
 
+def assert_equals_the_product_filter(got, want, params):
+    """``got``, MA-inverted by ``arima._ma_inverse``, against ``want`` from
+    the dense product filter. Without a seasonal MA factor the two run the
+    same filter call, so they must agree bit for bit. With one,
+    ``THETA(B^S)`` runs phase by phase, which equals the product filter to
+    rounding: the bound of
+    :func:`test_seasonal_factor_by_phase_equals_the_product_filter`."""
+    if any(params.Theta):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_innovations_equal_the_lag_polynomial_kernel(case):
     spec, params = CASES[case]
@@ -250,7 +267,7 @@ def test_innovations_equal_the_lag_polynomial_kernel(case):
     np.testing.assert_array_equal(arima._lag_array(params.phi, params.Phi, S), ar_polynomial(spec, params).dense())
     np.testing.assert_array_equal(arima._lag_array(params.theta, params.Theta, S), ma_polynomial(spec, params).dense())
     got = _innovations(spec, params, w, U)
-    np.testing.assert_array_equal(got, reference_innovations(spec, params, w, U))
+    assert_equals_the_product_filter(got, reference_innovations(spec, params, w, U), params)
 
 
 def assert_least_squares_over_the_reference_columns(spec, params, w, U):
@@ -304,27 +321,75 @@ def test_an_overflowing_ma_side_gives_minus_infinity(exog_count):
 def test_custom_backcast_equals_the_lag_polynomial_kernel(backcast):
     spec, params = CASES["sarima"]
     w, U = _working_series(spec, _series(), None)
-    np.testing.assert_array_equal(
+    assert_equals_the_product_filter(
         _innovations(spec, params, w, U, backcast=backcast),
         reference_innovations(spec, params, w, U, backcast=backcast),
+        params,
     )
+
+
+# p >= S: lags 4..6 collect two products each, which the dense convolution
+# may add in another order than the sparse product
+OVERLAPPING = (
+    ModelSpec(p=6, q=5, P=1, Q=1, diff=DifferenceSpec(S=4)),
+    ParameterVector(
+        phi=(0.2, -0.1, 0.05, 0.1, 0.05, -0.02), Phi=(0.3,),
+        theta=(0.2, 0.1, -0.1, 0.05, 0.02), Theta=(0.4,), mu=0.1,
+    ),
+)
 
 
 def test_overlapping_seasonal_lags_agree_to_rounding():
-    # p >= S: lags 4..6 collect two products each, which the dense
-    # convolution may add in another order than the sparse product
-    spec = ModelSpec(p=6, q=5, P=1, Q=1, diff=DifferenceSpec(S=4))
-    params = ParameterVector(
-        phi=(0.2, -0.1, 0.05, 0.1, 0.05, -0.02), Phi=(0.3,),
-        theta=(0.2, 0.1, -0.1, 0.05, 0.02), Theta=(0.4,), mu=0.1,
-    )
+    spec, params = OVERLAPPING
     w, U = _working_series(spec, _series(), None)
-    np.testing.assert_allclose(
-        _innovations(spec, params, w, U), reference_innovations(spec, params, w, U), rtol=1e-14, atol=0
-    )
+    got = _innovations(spec, params, w, U)
+    assert_equals_the_product_filter(got, reference_innovations(spec, params, w, U), params)
     np.testing.assert_allclose(
         arima._lag_array(params.phi, params.Phi, 4), ar_polynomial(spec, params).dense(), rtol=1e-14, atol=0
     )
+
+
+def ma_inverse_without_the_seasonal_factor(theta, Theta, S, x):
+    return lfilter([1.0], theta, x)
+
+
+def ma_inverse_across_phases(theta, Theta, S, x):
+    """``THETA`` run along each season's ``S`` hours, the transpose of its phase columns."""
+    x = lfilter([1.0], theta, x)
+    m = x.shape[0]
+    grid = np.zeros(-(-m // S) * S)
+    grid[:m] = x
+    return lfilter([1.0], Theta, grid.reshape(-1, S), axis=1).reshape(-1)[:m]
+
+
+@pytest.mark.parametrize("broken", [ma_inverse_without_the_seasonal_factor, ma_inverse_across_phases])
+@pytest.mark.parametrize("spec, params", [CASES["sarima"], OVERLAPPING], ids=["sarima", "overlapping"])
+def test_the_product_filter_bound_catches_a_wrong_seasonal_inverse(spec, params, broken, monkeypatch):
+    # the check of the check: the bound the seasonal cases take is tight
+    # enough to see the seasonal factor dropped or run over the wrong lanes
+    w, U = _working_series(spec, _series(), None)
+    want = reference_innovations(spec, params, w, U)
+    monkeypatch.setattr(arima, "_ma_inverse", broken)
+    with pytest.raises(AssertionError):
+        assert_equals_the_product_filter(_innovations(spec, params, w, U), want, params)
+
+
+@pytest.mark.parametrize("spec, params", [
+    CASES["sarima"],
+    # the backcast term barely decays, so each origin's backcast mean reaches all its innovations
+    (ModelSpec(p=1, Q=1, diff=SEASONAL), ParameterVector(phi=(0.3,), Theta=(0.998,), mu=0.002)),
+], ids=["sarima", "near_unit_seasonal_ma"])
+def test_origin_innovations_equal_the_product_filter_at_their_backcast_mean(spec, params):
+    # working lengths 276, 427, 589 and 776 hours: none a whole number of seasons
+    y = _series()
+    origins = [300, 451, 613, 800]
+    paths = forecast_origins(spec, params, y, None, origins, 5)
+    w, _ = _working_series(spec, y, None)
+    for i, end in enumerate(paths.ends):
+        assert end % spec.diff.S
+        np.testing.assert_allclose(paths.backcast[i], w[:end].mean(), rtol=1e-12)
+        want = reference_innovations(spec, params, w[:end], None, backcast=paths.backcast[i])
+        assert_equals_the_product_filter(paths.innovations(i), want, params)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

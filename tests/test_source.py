@@ -6,7 +6,8 @@ by ``arima``'s regressor rule, the package never imports ``scipy.signal``,
 ``scipy.linalg`` or ``scipy.optimize``, with one ``lfilter`` in the package,
 SciPy's private routines are named only by the one loader that loads them,
 hours are rendered only by ``series.format_hour``, and no search runs a
-Nelder-Mead simplex."""
+Nelder-Mead simplex, and ``arima`` inverts the MA side only in
+``_ma_inverse``."""
 
 import ast
 from pathlib import Path
@@ -214,6 +215,34 @@ def simplex_uses(modules):
     return [f"{module}:{line} {what}" for module, line, what in sorted(found)]
 
 
+# the one MA inverse: ``arima``'s all-pole filter calls run only in this body
+MA_INVERSE = ("arima.py", "_ma_inverse")
+UNIT_NUMERATORS = ("_UNIT", "[1.0]")
+
+
+def all_pole_filters(modules):
+    """``module:line`` of each ``lfilter`` call in ``arima.py`` outside the MA
+    inverse's body whose numerator (first argument or ``b``) is ``_UNIT`` or
+    ``[1.0]``."""
+    found = []
+    for module, tree in modules:
+        if module != MA_INVERSE[0]:
+            continue
+        for node in tree.body:
+            if getattr(node, "name", None) == MA_INVERSE[1]:
+                continue
+            for sub in ast.walk(node):
+                if not isinstance(sub, ast.Call):
+                    continue
+                if (getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)) != "lfilter":
+                    continue
+                b = sub.args[0] if sub.args else next((k.value for k in sub.keywords if k.arg == "b"), None)
+                name = b is not None and (getattr(b, "id", None) or getattr(b, "attr", None) or ast.unparse(b))
+                if name in UNIT_NUMERATORS:
+                    found.append(f"{module}:{sub.lineno}")
+    return found
+
+
 def parse_src():
     return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
 
@@ -386,3 +415,20 @@ def test_check_sees_a_simplex():
         "estimation.py:1 _run_simplex", "estimation.py:2 minimize", "estimation.py:3 Nelder-Mead",
         "estimation.py:3 minimize", "estimation.py:7 _run_simplex",
     ]
+
+
+def test_arima_inverts_the_ma_side_only_in_ma_inverse():
+    modules = parse_src()
+    assert MA_INVERSE[1] in [getattr(node, "name", None) for node in dict(modules)[MA_INVERSE[0]].body]
+    assert all_pole_filters(modules) == []
+
+
+def test_check_sees_an_all_pole_filter_outside_the_ma_inverse():
+    arima = ast.parse(
+        "def _ma_inverse(theta, Theta, S, x):\n    return lfilter(_UNIT, Theta, lfilter(_UNIT, theta, x))\n\n"
+        "def _innovations(ma, rhs):\n    return lfilter([1.0], ma, rhs) if ma.shape[0] > 1 else rhs\n\n"
+        "class Paths:\n    def response(self, ma, x):\n        return lagpoly.lfilter(b=arima._UNIT, a=ma, x=x)\n\n"
+        "def simulate(ma, ar, eps, psi):\n    return lfilter(ma, ar, eps), lfilter(psi, [1.0], eps)\n"
+    )
+    garch = ast.parse("def recursion(beta, x):\n    return lfilter([1.0], beta, x)\n")
+    assert all_pole_filters([("arima.py", arima), ("garch.py", garch)]) == ["arima.py:5", "arima.py:9"]
