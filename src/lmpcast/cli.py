@@ -156,14 +156,17 @@ def cmd_acf(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 
 def cmd_select(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    grid = cfg.read(config, "grid")
     dataset = _load_data(args, config)
     train = _train_window(config, dataset)
     pipeline = cfg.build_pipeline(config)
     if pipeline.spec is None:
         raise SchemaError(f"{pipeline.kind} pipelines have no model orders to select")
     series, exog = transform_target(pipeline, train), exog_window(pipeline, train.dalmp)
-    grid = cfg.read(config, "grid")
     chosen, table = grid_select(series, exog, grid["p"], grid["q"], pipeline.spec, cfg.build_fit_options(config))
+    for p, q in sorted(table.unconverged):
+        log.warning("cell p=%d, q=%d stopped at the iteration cap without converging; its BIC may be too high",
+                    p, q)
     print(table.render())
     print(f"selected: p={chosen.p}, q={chosen.q}")
     if args.out:

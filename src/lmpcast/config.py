@@ -112,7 +112,12 @@ def _span(value: Any) -> range:
     """A grid's inclusive ``[low, high]`` integer bounds, as the range they span."""
     if not isinstance(value, list) or len(value) != 2:
         raise TypeError("expected [low, high]")
-    return range(integer(value[0]), integer(value[1]) + 1)
+    low, high = integer(value[0]), integer(value[1])
+    if low < 0:
+        raise ValueError("expected a non-negative low")
+    if low > high:
+        raise ValueError("expected low <= high")
+    return range(low, high + 1)
 
 
 # the field tables: each key of a JSON block mapped to the reader of its value

@@ -30,6 +30,8 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, NamedTuple
@@ -472,24 +474,31 @@ def bic(loglik: float, k: int, n: int) -> float:
 class BicTable:
     """BIC values over a (p, q) grid, with failed cells recorded separately.
 
-    ``best`` works on any populated table, including one transcribed from an
-    external source, so the selection rule can be exercised without fitting.
+    ``unconverged`` holds the cells, each with a BIC, whose search stopped
+    at its cap without converging. ``best`` works on any populated table,
+    including one transcribed from an external source, so the selection
+    rule can be exercised without fitting.
     """
 
     p_values: tuple[int, ...]
     q_values: tuple[int, ...]
     cells: Mapping[tuple[int, int], float]
     failures: Mapping[tuple[int, int], str] = field(default_factory=dict)
+    unconverged: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_values", tuple(self.p_values))
         object.__setattr__(self, "q_values", tuple(self.q_values))
         object.__setattr__(self, "cells", dict(self.cells))
         object.__setattr__(self, "failures", dict(self.failures))
+        object.__setattr__(self, "unconverged", frozenset(self.unconverged))
         grid = {(p, q) for p in self.p_values for q in self.q_values}
         for key in (*self.cells, *self.failures):
             if key not in grid:
                 raise ValueError(f"cell {key} is outside the grid")
+        for key in self.unconverged:
+            if key not in self.cells:
+                raise ValueError(f"unconverged cell {key} has no BIC")
 
     def best(self) -> tuple[int, int]:
         """Orders of the minimal-BIC cell; ties prefer smaller p+q, then smaller q."""
@@ -512,6 +521,32 @@ class BicTable:
         return "\n".join(lines)
 
 
+# below this grid size (working hours times cells) a grid is fitted in
+# process: a worker pool would cost more than it saves (README, "Grid selection")
+_POOL_CROSSOVER = 30_000
+
+
+def _fit_cell(job: tuple[ModelSpec, HourlySeries, ExogenousMatrix | None, FitOptions]) -> tuple[float, bool] | str:
+    """One grid cell's fit: its BIC and whether it converged, or the failure
+    text of the estimation or value error it raised."""
+    try:
+        fitted = fit(*job)
+    except (LmpcastError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return fitted.bic, fitted.diagnostics.converged
+
+
+def _pool_workers(cells: int, size: int) -> int:
+    """Processes to fit a grid of ``cells`` cells and ``size`` working hours
+    times cells: one per CPU, at most one per cell, when the grid is past
+    the crossover and this process can fork safely (fork exists, no second
+    thread is alive); else 1, the process itself."""
+    if (size < _POOL_CROSSOVER or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() != 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), cells)
+
+
 def grid_select(
     series: HourlySeries,
     exog: ExogenousMatrix | None,
@@ -523,23 +558,43 @@ def grid_select(
     """Fit every (p, q) in the grid and pick the spec with minimal BIC.
 
     The template's differencing, seasonal, and exogenous structure is held
-    fixed. Cells whose fit raises are recorded as failures and skipped;
-    only an entirely failed grid raises.
+    fixed. Cells whose fit raises an estimation or value error are recorded
+    as failures and skipped; only an entirely failed grid raises. Cells
+    that stopped at the iteration cap are listed in ``unconverged``.
+
+    Every cell is fitted by :func:`_fit_cell`, larger ``p + q`` first. Past
+    a grid size of ``_POOL_CROSSOVER`` working hours times cells, and when
+    the process can fork, the cells run in a pool of forked processes, one
+    per CPU, which is joined before this returns or raises; results are
+    keyed by cell, so the table is the same as the in-process one bit for bit.
     """
     p_values = tuple(sorted(set(int(p) for p in p_range)))
     q_values = tuple(sorted(set(int(q) for q in q_range)))
     if not p_values or not q_values:
         raise ValueError("p_range and q_range must be non-empty")
+    keys = sorted(((p, q) for p in p_values for q in q_values), key=lambda pq: -sum(pq))
+    jobs = [(replace(base, p=p, q=q), series, exog, options) for p, q in keys]
+    workers = _pool_workers(len(jobs), (len(series) - base.diff.order) * len(jobs))
+    if workers > 1:
+        # imported here: start-up and the in-process path never pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_fit_cell, jobs))
+    else:
+        results = list(map(_fit_cell, jobs))
     cells: dict[tuple[int, int], float] = {}
     failures: dict[tuple[int, int], str] = {}
-    for p in p_values:
-        for q in q_values:
-            candidate = replace(base, p=p, q=q)
-            try:
-                cells[(p, q)] = fit(candidate, series, exog, options).bic
-            except (LmpcastError, ValueError) as exc:
-                failures[(p, q)] = f"{type(exc).__name__}: {exc}"
-    table = BicTable(p_values, q_values, cells, failures)
+    unconverged: set[tuple[int, int]] = set()
+    for key, result in sorted(zip(keys, results)):
+        if isinstance(result, str):
+            failures[key] = result
+            continue
+        cells[key], converged = result
+        if not converged:
+            unconverged.add(key)
+    table = BicTable(p_values, q_values, cells, failures, unconverged)
     chosen_p, chosen_q = table.best()
     return replace(base, p=chosen_p, q=chosen_q), table
 

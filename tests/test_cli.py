@@ -231,6 +231,8 @@ class TestMalformedRunConfig:
             ("fit", "clip", 5, "clip must be an object, got 5"),
             ("fit", "test_start", 5, "test_start = 5: "),
             ("select", "grid", {"p": [1], "q": [1, 2]}, "grid.p = [1]: expected [low, high]"),
+            ("select", "grid", {"p": [3, 1], "q": [1, 2]}, "grid.p = [3, 1]: expected low <= high"),
+            ("select", "grid", {"p": [1, 2], "q": [-1, 1]}, "grid.q = [-1, 1]: expected a non-negative low"),
             ("fit", "order", {"p": "x"}, "order.p = 'x': expected an integer"),
             ("fit", "order", {"p": 1.7}, "order.p = 1.7: expected an integer"),
             ("fit", "order", {"p": True}, "order.p = True: expected an integer"),
@@ -239,6 +241,7 @@ class TestMalformedRunConfig:
             ("backtest", "epsilon", 0.0, "epsilon must be positive"),
         ],
         ids=["clip-without-lb", "garch-without-q", "clip-number", "test_start-number", "grid-one-bound",
+             "grid-reversed", "grid-negative-low",
              "order-string", "order-fraction", "order-boolean", "constant-string", "test_start-outside-data",
              "epsilon-zero"],
     )
@@ -336,7 +339,8 @@ class TestSynth:
     def test_start_up_and_synth_leave_signal_optimize_and_linalg_unimported(self, ws, tmp_path):
         # a fresh interpreter: this one has imported them for other tests;
         # the commands that fit, a rolling backtest's refits included, leave
-        # them out too
+        # them out too, and only a grid past the pool's crossover imports
+        # the process pool
         rolling = write_config(tmp_path, "rolling.json", refit="rolling")
         commands = [
             ["synth", "--config", ws.config, "--out", str(tmp_path / "x.csv")],
@@ -345,7 +349,7 @@ class TestSynth:
         ]
         script = (
             "import json, sys\n"
-            "HEAVY = ('scipy.signal', 'scipy.optimize', 'scipy.linalg')\n"
+            "HEAVY = ('scipy.signal', 'scipy.optimize', 'scipy.linalg', 'multiprocessing', 'concurrent.futures')\n"
             "import lmpcast.cli\n"
             "after_import = [m for m in HEAVY if m in sys.modules]\n"
             f"codes = [lmpcast.cli.main(argv) for argv in {commands!r}]\n"
@@ -484,6 +488,23 @@ class TestSelect:
             b"2,1,,failed\n"
             b"2,3,0.000000,ok\n"
         )
+
+    @pytest.mark.parametrize("max_iterations, warned", [(100, [(2, 2), (2, 3), (3, 2), (3, 3)]), (2000, [])],
+                             ids=["capped", "default-cap"])
+    def test_one_warning_per_unconverged_cell(self, tmp_path, caplog, max_iterations, warned):
+        config = write_config(tmp_path, "grid.json", seed=2, clip=None, log_offset=None, test_start=None,
+                              grid={"p": [1, 3], "q": [1, 3]},
+                              fit={"restarts": 1, "max_iterations": max_iterations},
+                              synth={"length": 1500, "weekend_effect": 0.0, "spike_rate": 0.0})
+        data, out = tmp_path / "data.csv", tmp_path / "grid.csv"
+        assert main(["synth", "--config", config, "--out", str(data)]) == 0
+        with caplog.at_level("WARNING", logger="lmpcast"):
+            assert main(["select", "--config", config, "--data", str(data), "--out", str(out)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"cell p={p}, q={q} stopped at the iteration cap without converging; its BIC may be too "
+                            f"high" for p, q in warned]
+        # the grid file marks a capped cell ok, as it always has
+        assert out.read_text(encoding="utf-8").count(",ok\n") == 9
 
     @pytest.mark.parametrize("kind", ["baseline", "oracle"])
     def test_model_free_pipeline_exits_one_naming_it(self, ws, tmp_path, capsys, kind):

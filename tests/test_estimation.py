@@ -1,7 +1,11 @@
 """Maximum-likelihood fitting, BIC selection, and the PACF reparameterization."""
 
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from lmpcast.arima import (
     residuals,
     simulate,
 )
+from lmpcast import estimation
 from lmpcast.errors import DegenerateSeries, EstimationFailed, SeriesTooShort
 from lmpcast.estimation import (
     BicTable,
@@ -299,6 +304,12 @@ class TestBicTable:
         assert "failed" in text
         assert "3.2" in text
 
+    def test_unconverged_cell_needs_a_bic(self):
+        table = BicTable((1,), (1, 2), {(1, 1): 3.0}, {(1, 2): "x"}, {(1, 1)})
+        assert table.unconverged == frozenset({(1, 1)})
+        with pytest.raises(ValueError, match="unconverged cell"):
+            BicTable((1,), (1, 2), {(1, 1): 3.0}, {(1, 2): "x"}, {(1, 2)})
+
     def test_empty_cells_raise(self):
         table = BicTable(p_values=(1,), q_values=(1,), cells={}, failures={(1, 1): "x"})
         with pytest.raises(EstimationFailed):
@@ -331,6 +342,85 @@ class TestGridSelect:
         )
         chosen, _ = grid_select(y, None, [1], [1], base, FAST)
         assert (chosen.P, chosen.Q, chosen.diff.D, chosen.diff.S) == (1, 1, 1, 24)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the grid pool forks")
+class TestGridPool:
+    """``grid_select``'s forked worker pool against its in-process path.
+
+    A spy replaces ``estimation.fit`` and records each cell it fits. Forked
+    workers inherit it, but their records stay in the workers, so an empty
+    record means every cell ran in the pool. The spy raises the error
+    planted for a cell, in whichever process fits it.
+    """
+
+    Y = simulate(ModelSpec(p=1, q=2), ParameterVector(phi=(0.9,), theta=(0.25, 0.1), mu=0.6, sigma2=1.0), 600,
+                 seed=84)
+    CELLS = [(p, q) for p in range(1, 4) for q in range(1, 4)]
+    # a cap of 100 evaluations stops some cells short
+    CAPPED = FitOptions(max_iterations=100, restarts=1, seed=0)
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        record = SimpleNamespace(calls=[], errors={})
+
+        def spy_fit(spec, *args):
+            record.calls.append((spec.p, spec.q))
+            if (spec.p, spec.q) in record.errors:
+                raise record.errors[spec.p, spec.q]
+            return fit(spec, *args)
+
+        monkeypatch.setattr(estimation, "fit", spy_fit)
+        return record
+
+    @staticmethod
+    def pool_every_grid(monkeypatch):
+        monkeypatch.setattr(estimation, "_POOL_CROSSOVER", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def select(self):
+        return grid_select(self.Y, None, range(1, 4), range(1, 4), ModelSpec(), self.CAPPED)
+
+    def test_pooled_table_equals_in_process_one(self, monkeypatch, spy):
+        spy.errors[(2, 1)] = EstimationFailed("planted")
+        serial = self.select()
+        assert sorted(spy.calls) == self.CELLS  # 600 hours x 9 cells is below the crossover
+        self.pool_every_grid(monkeypatch)
+        spy.calls.clear()
+        pooled = self.select()
+        assert spy.calls == []
+        assert pooled == serial
+        table = pooled[1]
+        assert table.failures == {(2, 1): "EstimationFailed: planted"}
+        assert table.unconverged and table.unconverged < set(table.cells)
+        assert list(table.cells) == list(serial[1].cells)
+        assert multiprocessing.active_children() == []
+
+    def test_pool_is_joined_when_a_cell_raises(self, monkeypatch, spy):
+        self.pool_every_grid(monkeypatch)
+        spy.errors[(3, 3)] = RuntimeError("not an estimation error")
+        with pytest.raises(RuntimeError, match="not an estimation error"):
+            self.select()
+        assert spy.calls == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("blocker", ["one_cpu", "second_thread"])
+    def test_grid_runs_in_process_when_a_pool_cannot_help(self, monkeypatch, spy, blocker):
+        self.pool_every_grid(monkeypatch)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if blocker == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            thread.start()
+        try:
+            self.select()
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert sorted(spy.calls) == self.CELLS
 
 
 class TestFitGarch:
