@@ -18,14 +18,13 @@ values are backcast with the working-series sample mean, presample
 innovations are set to zero, and the sum runs over the full differenced
 sample. The innovations are linear in ``mu`` and ``gamma``, so for a given
 AR/MA shape the likelihood is maximized over them (and ``sigma2``) in closed
-form (:func:`profiled_log_likelihood`). The kernel runs in two stages: the
-innovation stage (:func:`_concentrated`) and, from its output, the
-innovations' Jacobian for the least-squares search
-(:func:`_concentrated_jacobian`). Every recursion is a linear filter on
-dense lag arrays built from the factor tuples; the sparse
-:func:`ar_polynomial`/:func:`ma_polynomial` are the public reference, whose
-MA product filter the phase-by-phase inverse equals to rounding. The AR side
-runs as ``np.convolve``, the MA inverse through ``lagpoly.lfilter``, the
+form (:func:`profiled_log_likelihood`). One innovation kernel
+(:func:`_concentrated`) gives the innovations at given or least-squares
+``(mu, gamma)``; its Jacobian stage (:func:`_concentrated_jacobian`) serves
+the search. Every recursion is a linear filter on dense lag arrays built
+from the factor tuples; the sparse :func:`ar_polynomial`/:func:`ma_polynomial`
+are the public reference, whose MA product filter the phase-by-phase
+inverse equals to rounding. The AR side runs as ``np.convolve``, the MA inverse through ``lagpoly.lfilter``, the
 package's one filter entry point (SciPy's C routine). The dense MA product
 serves only as a numerator (simulation, forecasts) or for its roots.
 Forecasts are one level-scale filter by the AR times the differencing
@@ -36,7 +35,7 @@ last innovations add (``past_terms``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -294,26 +293,6 @@ def _working_series(
     return w, U
 
 
-def _innovations(
-    spec: ModelSpec,
-    params: ParameterVector,
-    w: np.ndarray,
-    U: np.ndarray | None,
-    backcast: float | None = None,
-) -> np.ndarray:
-    """Innovation sequence over the full working sample.
-
-    Unavailable lagged working values are backcast with ``backcast``,
-    by default the working-series sample mean; presample innovations are
-    zero. The MA side is inverted by :func:`_ma_inverse`, as in the search.
-    """
-    theta, Theta = _lag_array(params.theta, (), 1), _lag_array(params.Theta, (), 1)
-    rhs = _ar_side(spec, params, w, backcast) - params.mu
-    if U is not None:
-        rhs = rhs - U @ np.asarray(params.gamma)
-    return _ma_inverse(theta, Theta, spec.diff.S, rhs)
-
-
 def _ar_side(
     spec: ModelSpec,
     params: ParameterVector,
@@ -352,8 +331,13 @@ def residuals(
     check_conforms(spec, params)
     _validate_exog(spec, series, exog)
     w, U = _working_series(spec, series, exog)
-    eps = _innovations(spec, params, w, U)
+    eps = _concentrated(spec, params, w, U, beta=_beta(spec, params))[0]
     return HourlySeries(series.start + HOUR * spec.diff.order, eps, series.units)
+
+
+def _beta(spec: ModelSpec, params: ParameterVector) -> np.ndarray:
+    """``params``' regression coefficients in the kernel's order: ``mu`` with a constant, then ``gamma``."""
+    return np.array(((params.mu,) if spec.constant else ()) + params.gamma)
 
 
 def log_likelihood(
@@ -437,32 +421,44 @@ def _concentrated(
     params: ParameterVector,
     w: np.ndarray,
     U: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Innovations at the least-squares regression coefficients for the shape in ``params``.
+    backcast: float | None = None,
+    beta: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The innovation kernel: innovations at the regression coefficients ``beta``, or at their least squares.
 
     Only the AR/MA factors of ``params`` are read (``phi``, ``Phi``,
     ``theta``, ``Theta``). The innovations are linear in the regression
     coefficients ``beta = (mu, *gamma)`` (``mu`` only with a constant):
-    ``e = F(a) - F([1, U]) beta``, where ``a`` is the AR side of the working
-    series ``w~`` (lagged values backcast with its mean) and ``F`` the
-    zero-state MA inverse filter (Box, Jenkins & Reinsel, ch. 7), run one
-    factor at a time (:func:`_ma_inverse`). ``a``, a
-    row of ones for the constant and any regressor columns are rows of one
-    array that the filter runs over, and ``beta`` is their least-squares
-    solution. This is the innovation stage of the kernel: one pass filters
-    ``1 + r`` rows (``r`` regression coefficients). Returns
-    ``(e, beta, Z)``, ``Z`` the ``r`` filtered regressor rows that
-    :func:`_concentrated_jacobian` projects out.
+    ``e = F(a - [1, U] beta) = F(a) - F([1, U]) beta``, where ``a`` is the
+    AR side of the working series ``w~`` (lagged values backcast with
+    ``backcast``, by default its mean) and ``F`` the zero-state MA inverse
+    filter (Box, Jenkins & Reinsel, ch. 7), run one factor at a time
+    (:func:`_ma_inverse`). Given ``beta``, one row, ``a - [1, U] beta``, is
+    filtered, in the brute-force recursion's order. Without it (the
+    search's innovation stage), ``a``, a row of ones for the constant and
+    any regressor columns are the ``1 + r`` rows of one array that the
+    filter runs over, and ``beta`` is their least-squares solution. Returns
+    ``(e, beta, Z)``, ``Z`` the filtered regressor rows that
+    :func:`_concentrated_jacobian` projects out (``None`` given ``beta``).
     """
     theta, Theta = _lag_array(params.theta, (), 1), _lag_array(params.Theta, (), 1)
-    r = int(spec.constant) + spec.exog_count
+    a = _ar_side(spec, params, w, backcast)
+    c = int(spec.constant)
+    if beta is not None:
+        # mu, then the regressors' term, in the recursion's order
+        if c:
+            a = a - beta[0]
+        if U is not None:
+            a = a - U @ beta[c:]
+        return _ma_inverse(theta, Theta, spec.diff.S, a), beta, None
+    r = c + spec.exog_count
     # rows: the AR side, then the regressors
     Y = np.empty((1 + r, w.shape[0]))
-    Y[0] = _ar_side(spec, params, w)
-    if spec.constant:
+    Y[0] = a
+    if c:
         Y[1] = 1.0
     if U is not None:
-        Y[1 + int(spec.constant) :] = U.T
+        Y[1 + c :] = U.T
     # a row at a time, in place: a stacked call's output would be a second copy of the rows
     for row in Y:
         row[:] = _ma_inverse(theta, Theta, spec.diff.S, row)
@@ -531,7 +527,7 @@ def profiled_log_likelihood(
     """Log-likelihood maximized over ``mu``, ``gamma`` and ``sigma2`` for the shape in ``params``.
 
     Reads the innovations at the least-squares ``beta`` from the innovation
-    stage, :func:`_concentrated`; ``sigma2_hat`` is their mean square. Returns
+    kernel, :func:`_concentrated`; ``sigma2_hat`` is their mean square. Returns
     ``(loglik, sigma2_hat, beta)``, ``-inf`` where the MA side overflows.
     """
     eps, beta, _ = _concentrated(spec, params, w, U)
@@ -682,9 +678,10 @@ def forecast_origins(
     ma = _lag_array(params.theta, params.Theta, spec.diff.S)
     ends = origins - spec.diff.order
     if innovations is None:
-        base = _innovations(spec, params, w, None if U is None else U[:m], backcast=0.0)
+        base = _concentrated(spec, params, w, None if U is None else U[:m], 0.0, _beta(spec, params))[0]
         # what a unit backcast mean adds: the innovations of a zero series without mu or gamma
-        response = _innovations(spec, replace(params, mu=0.0), np.zeros(m), None, backcast=1.0)
+        theta, Theta = _lag_array(params.theta, (), 1), _lag_array(params.Theta, (), 1)
+        response = _ma_inverse(theta, Theta, spec.diff.S, _ar_side(spec, params, np.zeros(m), backcast=1.0))
         # centring keeps the running sum's rounding at the scale of the spread
         centre = w.mean()
         backcast = centre + np.cumsum(w - centre)[ends - 1] / ends

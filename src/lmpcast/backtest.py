@@ -27,6 +27,7 @@ from .arima import (
     ModelSpec,
     ParameterVector,
     forecast_origins,
+    residuals,
 )
 from .dataio import MarketDataset, csv_table
 from .errors import (
@@ -185,9 +186,10 @@ def restore_pipeline_fit(
 ) -> FittedModel:
     """Rebuild a fitted pipeline from stored parameters, without optimizing.
 
-    Residuals, likelihood, and BIC are recomputed against ``train`` so the
-    result behaves exactly like the output of :func:`fit_pipeline`. This is
-    how serialized model artifacts come back to life in a fresh process.
+    Residuals (:func:`lmpcast.arima.residuals`), likelihood, and BIC are
+    recomputed against ``train``; from a fit's own window and parameters
+    they are :func:`fit_pipeline`'s bit for bit. This is how serialized
+    model artifacts come back to life in a fresh process.
     """
     if config.kind in DEGENERATE_KINDS:
         raise ValueError(f"{config.kind} pipelines have no parameters")
@@ -195,7 +197,7 @@ def restore_pipeline_fit(
         diagnostics = Diagnostics(converged=True, iterations=0, boundary_flags=(), evaluations=0)
     modeled = transform_target(config, train)
     exog = exog_window(config, train.dalmp)
-    return assemble_fit(config.spec, params, modeled, exog, diagnostics, garch)
+    return assemble_fit(config.spec, params, residuals(config.spec, params, modeled, exog), diagnostics, garch)
 
 
 @dataclass(frozen=True)

@@ -50,13 +50,13 @@ from .arima import (
     _lag_array,
     _validate_exog,
     _working_series,
-    residuals,
+    check_conforms,
 )
 from .errors import DegenerateSeries, EstimationFailed, LmpcastError, SeriesTooShort
 from .garch import (GarchParams, GarchSpec, _check_orders, _qml_score, _quasi_log_likelihood, _variance_recursion,
                     forecast_variance_origins)
 from .lagpoly import _lmder, is_stable
-from .series import HourlySeries, _autocovariances, _durbin_levinson, _levinson
+from .series import HOUR, HourlySeries, _autocovariances, _durbin_levinson, _levinson
 
 __all__ = [
     "FitOptions",
@@ -388,9 +388,9 @@ def fit(
     made there (:func:`lmpcast.arima._concentrated`). A spec without AR/MA
     terms is fitted in closed form alone. ``start`` (say, the fit at the
     previous origin of a rolling backtest) replaces the moment-based first
-    start. The stored log-likelihood is that of the returned parameters,
-    from the residuals :func:`assemble_fit` filters. Each fit logs one
-    DEBUG line with its evaluations and wall time.
+    start. Its residuals, and so its log-likelihood, are the kernel's at the winner's ``beta`` on
+    the working series the search filtered, :func:`lmpcast.arima.residuals` of the returned
+    parameters bit for bit. Each fit logs one DEBUG line with its evaluations and wall time.
     """
     began = time.perf_counter()
     _validate_exog(spec, series, exog)
@@ -411,6 +411,7 @@ def fit(
         raise EstimationFailed("optimum has degenerate innovation variance")
     c = int(spec.constant)
     params = ParameterVector(*shape, mu=beta[0] if c else 0.0, gamma=beta[c:], sigma2=sigma2)
+    check_conforms(spec, params)
 
     flags = []
     ar = _lag_array(params.phi, params.Phi, spec.diff.S)
@@ -419,13 +420,11 @@ def fit(
         flags.append("ar_near_boundary")
     if is_stable(ma).margin < _BOUNDARY_MARGIN and spec.q + spec.Q:
         flags.append("ma_near_boundary")
-    diagnostics = Diagnostics(
-        converged=converged,
-        iterations=iterations,
-        boundary_flags=tuple(flags),
-        evaluations=evaluations,
-    )
-    fitted = assemble_fit(spec, params, series, exog, diagnostics)
+    diagnostics = Diagnostics(converged=converged, iterations=iterations, boundary_flags=tuple(flags),
+                              evaluations=evaluations)
+    resid = HourlySeries(series.start + HOUR * spec.diff.order, _concentrated(spec, params, w, U, beta=beta)[0],
+                         series.units)
+    fitted = assemble_fit(spec, params, resid, diagnostics)
     log.debug("fit ARIMA(%d,%d,%d)(%d,%d,%d)_%d with %d regressors and %s constant: %d innovation and "
               "%d Jacobian evaluations, %s, in %.1f ms", spec.p, spec.diff.d, spec.q, spec.P, spec.diff.D, spec.Q,
               spec.diff.S, spec.exog_count, "a" if spec.constant else "no", evaluations, iterations,
@@ -436,16 +435,14 @@ def fit(
 def assemble_fit(
     spec: ModelSpec,
     params: ParameterVector,
-    series: HourlySeries,
-    exog: ExogenousMatrix | None,
+    resid: HourlySeries,
     diagnostics: Diagnostics,
     garch: tuple[GarchSpec, GarchParams] | None = None,
 ) -> FittedModel:
-    """A :class:`FittedModel` at given parameters, with its residuals and,
-    from them, its log-likelihood and BIC computed on ``series``."""
+    """A :class:`FittedModel` at given parameters with the residual series
+    ``resid`` they leave, and from those its log-likelihood and BIC."""
     if garch is not None:
         _check_orders(*garch)
-    resid = residuals(spec, params, series, exog)
     loglik = _gaussian_log_likelihood(resid.values, params.sigma2)
     n_eff = len(resid)
     return FittedModel(
@@ -501,9 +498,11 @@ class BicTable:
                 raise ValueError(f"unconverged cell {key} has no BIC")
 
     def best(self) -> tuple[int, int]:
-        """Orders of the minimal-BIC cell; ties prefer smaller p+q, then smaller q."""
+        """Orders of the minimal-BIC cell (ties: smaller p+q, then smaller q); with none, raises naming a failure."""
         if not self.cells:
-            raise EstimationFailed("every grid cell failed")
+            first = min(self.failures, default=None)
+            cause = "" if first is None else f"; first failure, (p, q) = {first}: {self.failures[first]}"
+            raise EstimationFailed("every grid cell failed" + cause)
         return min(sorted(self.cells), key=lambda pq: (self.cells[pq], pq[0] + pq[1], pq[1]))
 
     def render(self) -> str:
@@ -559,8 +558,8 @@ def grid_select(
 
     The template's differencing, seasonal, and exogenous structure is held
     fixed. Cells whose fit raises an estimation or value error are recorded
-    as failures and skipped; only an entirely failed grid raises. Cells
-    that stopped at the iteration cap are listed in ``unconverged``.
+    as failures and skipped; only an entirely failed grid raises, naming its
+    first failure. Cells that stopped at the iteration cap are listed in ``unconverged``.
 
     Every cell is fitted by :func:`_fit_cell`, larger ``p + q`` first. Past
     a grid size of ``_POOL_CROSSOVER`` working hours times cells, and when

@@ -477,7 +477,8 @@ def call_entry(entry, spec, history_exog, future_exog):
     if entry == "forecast":
         return forecast(spec, params, HISTORY, history_exog, future_exog, STEPS)
     right = RIGHT_HISTORY if spec.exog_count else None
-    fitted = assemble_fit(spec, params, HISTORY, right, Diagnostics(converged=True, iterations=0))
+    resid = residuals(spec, params, HISTORY, right)
+    fitted = assemble_fit(spec, params, resid, Diagnostics(converged=True, iterations=0))
     return model_forecast(fitted, HISTORY, history_exog, future_exog, STEPS)
 
 

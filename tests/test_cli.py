@@ -506,6 +506,18 @@ class TestSelect:
         # the grid file marks a capped cell ok, as it always has
         assert out.read_text(encoding="utf-8").count(",ok\n") == 9
 
+    def test_every_cell_failed_exits_one_naming_the_first_failure(self, tmp_path, capsys):
+        config = write_config(tmp_path, "grid.json", test_start=None, synth={"length": 5},
+                              grid={"p": [4, 5], "q": [4, 5]})
+        data, out = tmp_path / "data.csv", tmp_path / "grid.csv"
+        assert main(["synth", "--config", config, "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["select", "--config", config, "--data", str(data), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert re.search(r"^error: every grid cell failed; first failure, \(p, q\) = \(4, 4\): SeriesTooShort: ",
+                         captured.err, re.MULTILINE)
+        assert "selected" not in captured.out and not out.exists()
+
     @pytest.mark.parametrize("kind", ["baseline", "oracle"])
     def test_model_free_pipeline_exits_one_naming_it(self, ws, tmp_path, capsys, kind):
         config = write_config(tmp_path, "grid.json", pipeline=kind, grid={"p": [1, 2], "q": [1, 1]})

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from lmpcast import arima, backtest
+from lmpcast import arima, backtest, estimation
 from lmpcast.arima import ModelSpec, ParameterVector, ar_polynomial, ma_polynomial, residuals
 from lmpcast.backtest import (
     ModelForecasts,
@@ -411,13 +411,15 @@ def test_forecast_from_given_innovations_matches_the_filtered_history(name):
 
 def test_fit_once_filters_innovations_a_fixed_number_of_times(monkeypatch):
     calls = []
-    original = arima._innovations
+    original = arima._concentrated
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(arima, "_innovations", counting)
+    # the innovation kernel, wherever it is called from: the search, the fit's residuals, the forecasts
+    monkeypatch.setattr(arima, "_concentrated", counting)
+    monkeypatch.setattr(estimation, "_concentrated", counting)
     config, _, _ = CASES["armax_garch"]
     data = market(520, seed=6)
     options = FitOptions(restarts=1, seed=0, max_iterations=200)

@@ -42,7 +42,8 @@ from lmpcast.arima import (
     ExogenousMatrix,
     ModelSpec,
     ParameterVector,
-    _innovations,
+    _beta,
+    _concentrated,
     _working_series,
     ar_polynomial,
     forecast_origins,
@@ -66,6 +67,11 @@ from lmpcast.garch import (GarchParams, GarchSpec, _qml_score, _quasi_log_likeli
                            garch_log_likelihood)
 from lmpcast.lagpoly import DifferenceSpec
 from lmpcast.series import HourlySeries
+
+
+def kernel_innovations(spec, params, w, U, backcast=None):
+    """The innovation kernel's innovations at ``params``' own ``(mu, gamma)``."""
+    return _concentrated(spec, params, w, U, backcast, _beta(spec, params))[0]
 
 
 def reference_innovations(spec, params, w, U, backcast=None):
@@ -266,7 +272,7 @@ def test_innovations_equal_the_lag_polynomial_kernel(case):
     S = spec.diff.S
     np.testing.assert_array_equal(arima._lag_array(params.phi, params.Phi, S), ar_polynomial(spec, params).dense())
     np.testing.assert_array_equal(arima._lag_array(params.theta, params.Theta, S), ma_polynomial(spec, params).dense())
-    got = _innovations(spec, params, w, U)
+    got = kernel_innovations(spec, params, w, U)
     assert_equals_the_product_filter(got, reference_innovations(spec, params, w, U), params)
 
 
@@ -322,7 +328,7 @@ def test_custom_backcast_equals_the_lag_polynomial_kernel(backcast):
     spec, params = CASES["sarima"]
     w, U = _working_series(spec, _series(), None)
     assert_equals_the_product_filter(
-        _innovations(spec, params, w, U, backcast=backcast),
+        kernel_innovations(spec, params, w, U, backcast=backcast),
         reference_innovations(spec, params, w, U, backcast=backcast),
         params,
     )
@@ -342,7 +348,7 @@ OVERLAPPING = (
 def test_overlapping_seasonal_lags_agree_to_rounding():
     spec, params = OVERLAPPING
     w, U = _working_series(spec, _series(), None)
-    got = _innovations(spec, params, w, U)
+    got = kernel_innovations(spec, params, w, U)
     assert_equals_the_product_filter(got, reference_innovations(spec, params, w, U), params)
     np.testing.assert_allclose(
         arima._lag_array(params.phi, params.Phi, 4), ar_polynomial(spec, params).dense(), rtol=1e-14, atol=0
@@ -371,7 +377,7 @@ def test_the_product_filter_bound_catches_a_wrong_seasonal_inverse(spec, params,
     want = reference_innovations(spec, params, w, U)
     monkeypatch.setattr(arima, "_ma_inverse", broken)
     with pytest.raises(AssertionError):
-        assert_equals_the_product_filter(_innovations(spec, params, w, U), want, params)
+        assert_equals_the_product_filter(kernel_innovations(spec, params, w, U), want, params)
 
 
 @pytest.mark.parametrize("spec, params", [
@@ -806,6 +812,30 @@ def test_a_fit_filters_each_evaluated_point_once(monkeypatch):
         d = fitted.diagnostics
         assert d.converged
         assert len(calls) == (1 + r) * d.evaluations + (spec.p + spec.P + 1) * d.iterations + 1
+
+
+@pytest.mark.parametrize("spec", [ModelSpec(p=1, q=2), ModelSpec(p=1, q=2, exog_count=1), CASES["sarima"][0]],
+                         ids=["arma", "armax", "sarima"])
+def test_fit_keeps_the_kernel_innovations_at_its_parameters_without_calling_residuals(spec, monkeypatch):
+    # the fit's residuals are the kernel's at the fitted (mu, gamma), from the
+    # working series the search filtered: residuals() is never called, in
+    # either module that could reach it; ARMAX has two regression rows
+    calls = []
+    real = arima.residuals
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(arima, "residuals", counting)
+    monkeypatch.setattr(estimation, "residuals", counting, raising=False)
+    y = _series()
+    exog = _exog(y) if spec.exog_count else None
+    fitted = fit(spec, y, exog, FitOptions(restarts=1))
+    assert calls == []
+    w, U = _working_series(spec, y, exog)
+    np.testing.assert_array_equal(fitted.residuals.values, kernel_innovations(spec, fitted.params, w, U))
+    assert fitted.residuals.start == y.timestamp_at(spec.diff.order)
 
 
 def reference_variance_recursion(alpha0, alpha, beta, eps2, v0):

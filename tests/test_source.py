@@ -6,8 +6,9 @@ by ``arima``'s regressor rule, the package never imports ``scipy.signal``,
 ``scipy.linalg`` or ``scipy.optimize``, with one ``lfilter`` in the package,
 SciPy's private routines are named only by the one loader that loads them,
 hours are rendered only by ``series.format_hour``, and no search runs a
-Nelder-Mead simplex, and ``arima`` inverts the MA side only in
-``_ma_inverse``."""
+Nelder-Mead simplex, ``arima`` inverts the MA side only in
+``_ma_inverse``, and only the innovation kernel, its Jacobian stage and
+the forecasts' unit-backcast response call ``_ma_inverse``."""
 
 import ast
 from pathlib import Path
@@ -243,6 +244,27 @@ def all_pole_filters(modules):
     return found
 
 
+# the one innovation kernel: the MA inverse runs only in ``arima``'s kernel,
+# its Jacobian stage and ``forecast_origins``' unit-backcast response
+MA_INVERSE_CALLERS = ("arima.py", ("_concentrated", "_concentrated_jacobian", "forecast_origins"))
+
+
+def ma_inverse_calls(modules):
+    """``module:line definition`` of each call to ``_ma_inverse`` outside the
+    bodies of ``MA_INVERSE_CALLERS``, by the module-level definition holding it."""
+    found = []
+    for module, tree in modules:
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            if module == MA_INVERSE_CALLERS[0] and own in MA_INVERSE_CALLERS[1]:
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and (getattr(sub.func, "id", None)
+                                                  or getattr(sub.func, "attr", None)) == MA_INVERSE[1]:
+                    found.append(f"{module}:{sub.lineno} {own}")
+    return found
+
+
 def parse_src():
     return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
 
@@ -432,3 +454,24 @@ def test_check_sees_an_all_pole_filter_outside_the_ma_inverse():
     )
     garch = ast.parse("def recursion(beta, x):\n    return lfilter([1.0], beta, x)\n")
     assert all_pole_filters([("arima.py", arima), ("garch.py", garch)]) == ["arima.py:5", "arima.py:9"]
+
+
+def test_only_the_innovation_kernel_its_jacobian_and_the_response_call_the_ma_inverse():
+    modules = parse_src()
+    arima_names = [getattr(node, "name", None) for node in dict(modules)[MA_INVERSE_CALLERS[0]].body]
+    assert set(MA_INVERSE_CALLERS[1]) <= set(arima_names)
+    assert ma_inverse_calls(modules) == []
+
+
+def test_check_sees_a_second_innovation_function():
+    arima = ast.parse(
+        "def _ma_inverse(theta, Theta, S, x):\n    return x\n\n"
+        "def _concentrated(spec, params, w, U):\n    return _ma_inverse(t, T, S, w)\n\n"
+        "def _innovations(spec, params, w, U):\n    return _ma_inverse(t, T, S, w - params.mu)\n\n"
+        "def forecast_origins(spec, params, w):\n    return _ma_inverse(t, T, S, 0 * w)\n\n"
+        "class Paths:\n    def base(self, w):\n        return arima._ma_inverse(t, T, S, w)\n"
+    )
+    estimation = ast.parse("def fit(w):\n    return arima._ma_inverse(t, T, S, w)\n")
+    assert ma_inverse_calls([("arima.py", arima), ("estimation.py", estimation)]) == [
+        "arima.py:8 _innovations", "arima.py:15 Paths", "estimation.py:2 fit",
+    ]
